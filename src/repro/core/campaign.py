@@ -107,9 +107,8 @@ class DiagnosisCampaign:
         self.sampler = sampler
         #: March-simulation backend for the proposed-scheme *and* baseline
         #: sessions: ``reference`` (the classic cell-by-cell path),
-        #: ``numpy``/``fast`` (vectorized, bit-identical results),
         #: ``batched`` (same-geometry memories swept as one stacked array
-        #: per vector op, bit-identical again) or ``auto``.  See
+        #: per vector op, bit-identical results) or ``auto``.  See
         #: :mod:`repro.engine.backends` and :mod:`repro.engine.batched`.
         self.backend = backend
         #: Defect-class mix for fault sampling (defaults to the paper's

@@ -163,7 +163,7 @@ class FastDiagnosisScheme:
                     memory.pause(step.duration_ns)
                 report.pause_ns += step.duration_ns
                 continue
-            self._run_element(step, step_index, report, bit_accurate)
+            self._diagnose_element(step, step_index, report, bit_accurate)
             if early_abort and all(
                 self.comparators[m.name].failures for m in self.bank
             ):
@@ -190,7 +190,7 @@ class FastDiagnosisScheme:
     # ------------------------------------------------------------------ #
     # Element execution                                                  #
     # ------------------------------------------------------------------ #
-    def _run_element(
+    def _diagnose_element(
         self,
         step: MarchStep,
         step_index: int,

@@ -7,7 +7,7 @@ that layer: :mod:`repro.ecc.code` holds the pure-Python extended-Hamming
 SEC-DED decoder, :mod:`repro.ecc.observer` the per-session bookkeeping
 (corrected cells, masked mismatches, uncorrectable reads), and
 :mod:`repro.ecc.vector` the lane-plane vectorized decoder used by the
-numpy/batched engines.
+batched vector path.
 """
 
 from repro.ecc.code import EccObservation, SecDedCode, secded_code

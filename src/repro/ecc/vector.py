@@ -1,6 +1,6 @@
-"""Lane-plane vectorized SEC-DED decode for the numpy/batched engines.
+"""Lane-plane vectorized SEC-DED decode for the batched engine.
 
-The fast backends keep memory state as ``uint64`` lane planes, so the
+The vector path keeps memory state as ``uint64`` lane planes, so the
 decoder works the same way: each Hamming syndrome bit has a column mask
 per lane (the data bits whose position has that syndrome bit set), the
 syndrome is assembled from XOR-reduction parities of ``error & mask``,
@@ -115,7 +115,16 @@ class BucketEcc:
         self.observers = observers
 
     def decode_rows(self, members, addresses, error) -> tuple:
-        """Bulk-decode stacked mismatches; see :func:`decode_mismatches`."""
+        """Bulk-decode stacked mismatches, recording every event.
+
+        Row ``i`` is one mismatching read of bucket member
+        ``members[i]`` at word ``addresses[i]`` with error pattern
+        ``error[i]``.  Every decoder outcome is folded into that member's
+        observer (same accounting as the scalar path); returns ``(keep,
+        corrected_bit)`` -- a boolean row filter of mismatches that
+        survive correction and the per-row flipped data bit (``-1`` when
+        none), from which callers rebuild the post-correction word.
+        """
         outcome = self.vcode.decode(error)
         bits = outcome.corrected_bit
         observers = self.observers
@@ -129,31 +138,6 @@ class BucketEcc:
                 bool(outcome.check_corrected[index]),
             )
         return ~outcome.masked, bits
-
-
-def decode_mismatches(observer, addresses, error) -> tuple:
-    """Bulk-decode mismatching rows, recording every event.
-
-    ``addresses[i]`` / ``error[i]`` describe one mismatching read of the
-    observer's memory.  Every decoder outcome is folded into ``observer``
-    (same accounting as the scalar path); returns ``(keep,
-    corrected_bit)`` -- a boolean row filter of mismatches that survive
-    correction and the per-row flipped data bit (``-1`` when none), from
-    which callers rebuild the post-correction word.
-    """
-    vcode = vector_secded(observer.code.data_bits)
-    outcome = vcode.decode(error)
-    bits = outcome.corrected_bit
-    for index in range(len(addresses)):
-        bit = int(bits[index])
-        observer.record(
-            int(addresses[index]),
-            None if bit < 0 else bit,
-            bool(outcome.masked[index]),
-            bool(outcome.uncorrectable[index]),
-            bool(outcome.check_corrected[index]),
-        )
-    return ~outcome.masked, bits
 
 
 _VECTOR_CODES: dict[int, VectorSecDed] = {}

@@ -3,10 +3,10 @@
 The engine is the execution layer above the paper's single-session models:
 
 * :mod:`repro.engine.backends` -- registry of interchangeable march
-  simulation backends (pure-Python reference, numpy bit-parallel);
-* :mod:`repro.engine.batched` -- the fleet tier: same-geometry memories
-  stacked into one ``(n_mem, words, lanes)`` array, each march element a
-  single fleet-wide vector op, selected by the geometry-bucketing planner;
+  simulation backends (pure-Python reference oracle, batched vector path);
+* :mod:`repro.engine.batched` -- the one vector path: same-geometry
+  memories stacked into one ``(n_mem, words, lanes)`` array, each march
+  element a single fleet-wide vector op (a raw march is a bucket of one);
 * :mod:`repro.engine.session` -- fast, bit-exact execution of a full
   proposed-scheme diagnosis session;
 * :mod:`repro.engine.baseline_session` -- fast, bit-exact execution of the
@@ -32,7 +32,6 @@ from repro.engine.aggregate import (
 )
 from repro.engine.backends import (
     MarchBackend,
-    NumpyBackend,
     ReferenceBackend,
     available_backends,
     get_backend,
@@ -90,7 +89,6 @@ __all__ = [
     "GeometryBucket",
     "HAVE_NUMPY",
     "MarchBackend",
-    "NumpyBackend",
     "ReferenceBackend",
     "StreamingStats",
     "available_backends",

@@ -8,31 +8,26 @@ backends ship:
 
 ``reference``
     The existing pure-Python :class:`~repro.march.simulator.MarchSimulator`,
-    cell-by-cell and hook-accurate.  Always available.
+    cell-by-cell and hook-accurate.  Always available; the oracle every
+    other path is tested against.
 
-``numpy``
-    Bit-parallel: packs the word array into ``uint64`` lanes and applies
-    march elements as whole-array ops, replaying only fault-hooked words
-    through the behavioural path (see :mod:`repro.engine.kernel`).
-    Bit-exact against the reference by construction and validated across
-    the fault library in the test suite.  Falls back to the reference for
+``batched``
+    The one vector path (:mod:`repro.engine.batched`, registered on import
+    of :mod:`repro.engine`): same-geometry memories are stacked into one
+    ``(n_mem, words, lanes)`` uint64 array and every march element is
+    swept fleet-wide, with lowerable faults evaluated from a compiled
+    fault table and the rest replayed behaviourally.  A raw single-memory
+    run is a bucket of one.  Falls back to the reference for
     configurations the vector path cannot represent (decoder/column-mux
     faults, access tracing, stop-on-first-failure).
 
-``batched``
-    The fleet tier (:mod:`repro.engine.batched`, registered on import of
-    :mod:`repro.engine`): identical to ``numpy`` for raw single-memory
-    runs, but diagnosis sessions stack all same-geometry memories of the
-    bank into one ``(n_mem, words, lanes)`` array and sweep each march
-    element fleet-wide.  The fleet scheduler upgrades ``auto`` to it when
-    geometry bucketing pays off.
-
-The registry maps names to backend factories so later PRs (and user code)
-can plug in further implementations::
+``auto`` selects ``batched`` when numpy is importable and ``reference``
+otherwise.  The registry maps names to backend factories so user code can
+plug in further implementations::
 
     from repro.engine import get_backend, register_backend
 
-    backend = get_backend("auto")      # numpy when available
+    backend = get_backend("auto")      # batched when numpy is available
     result = backend.run(memory, march_cw_nw(memory.bits))
 """
 
@@ -40,9 +35,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.engine.packing import HAVE_NUMPY, require_numpy
-from repro.march.algorithm import MarchAlgorithm, PauseStep
-from repro.march.element import AddressOrder
+from repro.engine.packing import HAVE_NUMPY
+from repro.march.algorithm import MarchAlgorithm
 from repro.march.simulator import MarchResult, MarchSimulator
 from repro.memory.sram import SRAM
 from repro.util.validation import require
@@ -53,9 +47,8 @@ def vector_capable(memory: SRAM) -> bool:
 
     The single source of truth for the vector precondition: an ideal
     address decoder and column mux, and no access tracing.  Shared by the
-    numpy backend's ``supports`` checks, the per-memory session runner and
-    the batched tier's geometry planner, so a new capability condition
-    only needs to land here.
+    batched backend's ``supports`` checks and its geometry planner, so a
+    new capability condition only needs to land here.
     """
     return (
         not memory.trace
@@ -111,89 +104,6 @@ class ReferenceBackend(MarchBackend):
         return True
 
 
-class NumpyBackend(MarchBackend):
-    """Bit-parallel backend packing word columns into uint64 lane arrays."""
-
-    name = "numpy"
-
-    def __init__(self, stop_on_first_failure: bool = False) -> None:
-        # Selecting this backend *explicitly* without numpy is an error;
-        # only the "auto" selector degrades silently.
-        require_numpy("the numpy march backend")
-        #: Early-stop semantics change mid-element side effects, so the
-        #: vector path refuses them and delegates to the reference.
-        self.stop_on_first_failure = stop_on_first_failure
-        self._fallback = ReferenceBackend(stop_on_first_failure)
-
-    @classmethod
-    def is_available(cls) -> bool:
-        return HAVE_NUMPY
-
-    def supports(self, memory: SRAM) -> bool:
-        return not self.stop_on_first_failure and vector_capable(memory)
-
-    def supports_baseline(self, memory: SRAM) -> bool:
-        # The sparse serial replay assumes an ideal address/column path and
-        # no access tracing; early-stop has no serial-path meaning, so it
-        # does not disqualify a memory here.
-        return vector_capable(memory)
-
-    def run(self, memory: SRAM, algorithm: MarchAlgorithm) -> MarchResult:
-        if not self.supports(memory):
-            return self._fallback.run(memory, algorithm)
-        from repro.engine.kernel import (
-            ElementPlan,
-            OpPlan,
-            pack_memory,
-            run_element,
-            sync_clean_rows,
-        )
-
-        require(
-            algorithm.bits == memory.bits,
-            f"algorithm width {algorithm.bits} != memory width {memory.bits}",
-        )
-        words, bits = memory.words, memory.bits
-        state, clean_mask, dirty_mask, lanes = pack_memory(memory)
-
-        result = MarchResult(algorithm.name, memory.name)
-        start_cycles = memory.timebase.cycles
-        start_ns = memory.now_ns
-        for step_index, step in enumerate(algorithm.steps):
-            if isinstance(step, PauseStep):
-                memory.pause(step.duration_ns)
-                continue
-            element = step.element
-            ops = tuple(
-                OpPlan(
-                    op=op,
-                    operation=op.notation(),
-                    write_word=None if op.is_read else op.word_for(step.background, bits),
-                    expected_plain=op.word_for(step.background, bits) if op.is_read else None,
-                    expected_wrapped=op.word_for(step.background, bits) if op.is_read else None,
-                    tick_cost=1,
-                )
-                for op in element.operations
-            )
-            plan = ElementPlan(
-                step_index=step_index,
-                step_label=step.label or element.notation(),
-                record_background=step.background,
-                deliver_ticks=0,
-                ascending=element.order is not AddressOrder.DOWN,
-                sweep_length=words,
-                ops=ops,
-            )
-            result.failures.extend(
-                run_element(memory, state, clean_mask, dirty_mask, plan, lanes)
-            )
-
-        sync_clean_rows(memory, state, clean_mask)
-        result.cycles = memory.timebase.cycles - start_cycles
-        result.elapsed_ns = memory.now_ns - start_ns
-        return result
-
-
 # --------------------------------------------------------------------- #
 # Registry                                                              #
 # --------------------------------------------------------------------- #
@@ -223,12 +133,12 @@ def available_backends() -> dict[str, bool]:
 def get_backend(name: str = "auto", **kwargs) -> MarchBackend:
     """Instantiate a registered backend by name.
 
-    ``auto`` selects the numpy backend when numpy is importable and the
+    ``auto`` selects the batched backend when numpy is importable and the
     reference otherwise, so callers can opt into speed without a hard
     dependency.
     """
     if name == "auto":
-        name = "numpy" if HAVE_NUMPY else "reference"
+        name = "batched" if HAVE_NUMPY else "reference"
     require(name in _REGISTRY, f"unknown backend {name!r}; known: {sorted(_REGISTRY)}")
     return _REGISTRY[name](**kwargs)
 
@@ -243,5 +153,3 @@ def resolve_backend(backend: str | MarchBackend | None) -> MarchBackend:
 
 
 register_backend("reference", ReferenceBackend)
-register_backend("numpy", NumpyBackend)
-register_backend("fast", NumpyBackend)

@@ -13,7 +13,7 @@ same pluggable backend registry as the proposed scheme
 (:mod:`repro.engine.backends`) and produces the *same*
 :class:`~repro.baseline.scheme.BaselineReport` -- iteration count,
 localization records (order included) and final memory state, bit for
-bit.  With the numpy backend, each memory whose configuration the sparse
+bit.  With the batched backend, each memory whose configuration the sparse
 serial kernel can represent (no decoder/column-mux faults, no tracing) is
 replayed through :mod:`repro.engine.serial_kernel`: only fault-hooked
 words go through the behavioural serial path, clean words are accounted
@@ -26,13 +26,7 @@ errors included -- stays identical.
 from __future__ import annotations
 
 from repro.baseline.scheme import BaselineReport, HuangJoneScheme
-from repro.engine.backends import (
-    MarchBackend,
-    NumpyBackend,
-    ReferenceBackend,
-    resolve_backend,
-)
-from repro.engine.packing import HAVE_NUMPY
+from repro.engine.backends import MarchBackend, ReferenceBackend, resolve_backend
 from repro.engine.serial_kernel import (
     expected_stream,
     serial_fill_sweep,
@@ -59,7 +53,7 @@ def run_baseline_session(
     """Run one baseline diagnosis session through the selected backend.
 
     With the reference backend (or in effective mode, which is already
-    closed-form) this is exactly ``scheme.diagnose(...)``; with the numpy
+    closed-form) this is exactly ``scheme.diagnose(...)``; with the batched
     backend the same report is produced bit-identically but per-iteration
     failure capture replays only fault-hooked words.  ``early_abort``
     (bit-accurate mode, both backends) skips the trailing no-progress
@@ -68,13 +62,15 @@ def run_baseline_session(
     localized fault set (see
     :meth:`~repro.baseline.scheme.HuangJoneScheme.diagnose`).
     """
+    from repro.engine.batched import BatchedBackend
+
     resolved = resolve_backend(backend)
     require(
-        isinstance(resolved, (NumpyBackend, ReferenceBackend)),
-        f"run_baseline_session supports the 'reference' and 'numpy' "
+        isinstance(resolved, (BatchedBackend, ReferenceBackend)),
+        f"run_baseline_session supports the 'reference' and 'batched' "
         f"backends, got {type(resolved).__name__}",
     )
-    fast = isinstance(resolved, NumpyBackend) and HAVE_NUMPY and bit_accurate
+    fast = isinstance(resolved, BatchedBackend) and bit_accurate
     if not fast:
         return scheme.diagnose(
             injector,

@@ -1,9 +1,9 @@
-"""Fleet-batched march execution: whole geometry buckets per vector op.
+"""The one vector path: whole geometry buckets per vector op.
 
-The numpy backend vectorizes *within* one SRAM; a fleet session over
-hundreds of distributed small memories still pays the full Python
-per-memory cost (plan construction, per-block array dispatch) once per
-instance per element.  This tier removes that multiplier:
+A fleet session over hundreds of distributed small memories would pay the
+full Python per-memory cost (plan construction, per-block array dispatch)
+once per instance per element if each memory were swept on its own.  This
+tier removes that multiplier:
 
 * the **geometry-bucketing planner** (:func:`geometry_buckets`,
   :func:`plan_session_buckets`) groups the vector-capable memories of a
@@ -26,40 +26,53 @@ instance per element.  This tier removes that multiplier:
   vector ops inside the same block decomposition -- the dense-defect fast
   path;
 * the remaining fault-hooked words keep the behavioural replay of
-  :func:`repro.engine.kernel.replay_dirty_rows` -- exact sweep order and
-  clocking per memory -- so the mechanisms with genuinely sequential
-  state (intra-word coupling, legacy-stream intermittent faults behind
-  the ``legacy_stream`` compat flag) observe reference-identical times.
-  Session wrap-around is handled by the same block decomposition as the
-  single-memory kernel.
+  :func:`repro.engine.kernel.replay_dirty_positions` -- exact sweep order
+  and clocking per memory -- so the mechanisms with genuinely sequential
+  state (intra-word coupling, faults sharing a cell) observe
+  reference-identical times.  Session wrap-around is handled by the
+  block decomposition itself.
 
-The result is bit-exact against the reference and numpy paths (validated
-by the differential fuzz matrix) while the Python overhead amortizes over
-the bucket population.  ``BatchedBackend`` subclasses the numpy backend,
-so raw single-memory march runs and the baseline's iterate-repair sparse
-serial replay (:mod:`repro.engine.baseline_session`) run unchanged
-through it; the batched win applies to full diagnosis sessions, where
-:func:`repro.engine.session.run_session` dispatches here.
+:func:`run_bucket` is that loop for one bucket and one plan list.  Full
+diagnosis sessions (:func:`run_batched_session`, dispatched from
+:func:`repro.engine.session.run_session`) call it once per geometry
+bucket; a raw :meth:`BatchedBackend.run` march is a bucket of one.  The
+result is bit-exact against the reference (validated by the differential
+fuzz matrix) while the Python overhead amortizes over the bucket
+population.  The baseline's iterate-repair sparse serial replay
+(:mod:`repro.engine.baseline_session`) also selects on this backend.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.core.report import ProposedReport
 from repro.core.scheme import FastDiagnosisScheme
 from repro.ecc.vector import BucketEcc
-from repro.engine.backends import NumpyBackend, register_backend, vector_capable
+from repro.engine.backends import (
+    MarchBackend,
+    ReferenceBackend,
+    register_backend,
+    vector_capable,
+)
 from repro.engine.fault_table import TableEvaluator, lower_bucket
 from repro.engine.kernel import (
     CleanWordTracker,
     ElementPlan,
-    _record,
+    OpPlan,
     replay_dirty_positions,
     sync_clean_rows,
 )
-from repro.engine.packing import lanes_to_word, np, pack_bank, word_to_lanes
+from repro.engine.packing import (
+    HAVE_NUMPY,
+    lanes_to_word,
+    np,
+    pack_bank,
+    require_numpy,
+    word_to_lanes,
+)
 from repro.engine.session import (
     _run_memory_session,
     begin_session,
@@ -67,21 +80,106 @@ from repro.engine.session import (
     finish_session,
     session_step_plans,
 )
-from repro.march.algorithm import PauseStep
-from repro.march.simulator import FailureRecord
+from repro.march.algorithm import MarchAlgorithm, PauseStep
+from repro.march.element import AddressOrder
+from repro.march.simulator import FailureRecord, MarchResult
 from repro.memory.sram import SRAM
 from repro.telemetry.core import tracer as _tracer
+from repro.util.validation import require
 
 
-class BatchedBackend(NumpyBackend):
-    """Numpy backend whose sessions sweep geometry buckets as one array.
+class BatchedBackend(MarchBackend):
+    """The vector backend: geometry buckets swept as one stacked array.
 
-    For raw single-memory march runs this is exactly the numpy backend;
-    selecting it for a session (``run_session`` / campaigns / fleets)
-    activates the stacked execution of :func:`run_batched_session`.
+    A raw single-memory march run is a bucket of one through
+    :func:`run_bucket`; selecting it for a session (``run_session`` /
+    campaigns / fleets) stacks every same-geometry memory of the bank
+    (:func:`run_batched_session`).  Configurations the vector path cannot
+    represent delegate to the reference simulator.
     """
 
     name = "batched"
+
+    def __init__(self, stop_on_first_failure: bool = False) -> None:
+        # Selecting this backend *explicitly* without numpy is an error;
+        # only the "auto" selector degrades silently.
+        require_numpy("the batched march backend")
+        #: Early-stop semantics change mid-element side effects, so the
+        #: vector path refuses them and delegates to the reference.
+        self.stop_on_first_failure = stop_on_first_failure
+        self._fallback = ReferenceBackend(stop_on_first_failure)
+
+    @classmethod
+    def is_available(cls) -> bool:
+        return HAVE_NUMPY
+
+    def supports(self, memory: SRAM) -> bool:
+        return not self.stop_on_first_failure and vector_capable(memory)
+
+    def supports_baseline(self, memory: SRAM) -> bool:
+        # The sparse serial replay assumes an ideal address/column path and
+        # no access tracing; early-stop has no serial-path meaning, so it
+        # does not disqualify a memory here.
+        return vector_capable(memory)
+
+    def run(self, memory: SRAM, algorithm: MarchAlgorithm) -> MarchResult:
+        if not self.supports(memory):
+            return self._fallback.run(memory, algorithm)
+        require(
+            algorithm.bits == memory.bits,
+            f"algorithm width {algorithm.bits} != memory width {memory.bits}",
+        )
+        result = MarchResult(algorithm.name, memory.name)
+        start_cycles = memory.timebase.cycles
+        start_ns = memory.now_ns
+        (result.failures,) = run_bucket(
+            [memory], raw_step_plans(algorithm, memory.words), memory.words
+        )
+        result.cycles = memory.timebase.cycles - start_cycles
+        result.elapsed_ns = memory.now_ns - start_ns
+        return result
+
+
+def raw_step_plans(
+    algorithm: MarchAlgorithm, words: int
+) -> list[PauseStep | ElementPlan]:
+    """Resolve a raw march (no SPC/PSC, one tick per access) into plans.
+
+    Raw runs sweep the memory's own ``words``, so nothing wraps and the
+    expected word of a read is its background word in both halves.
+    """
+    bits = algorithm.bits
+    plans: list[PauseStep | ElementPlan] = []
+    for step_index, step in enumerate(algorithm.steps):
+        if isinstance(step, PauseStep):
+            plans.append(step)
+            continue
+        element = step.element
+        ops = []
+        for op in element.operations:
+            word = op.word_for(step.background, bits)
+            ops.append(
+                OpPlan(
+                    op=op,
+                    operation=op.notation(),
+                    write_word=None if op.is_read else word,
+                    expected_plain=word if op.is_read else None,
+                    expected_wrapped=word if op.is_read else None,
+                    tick_cost=1,
+                )
+            )
+        plans.append(
+            ElementPlan(
+                step_index=step_index,
+                step_label=step.label or element.notation(),
+                record_background=step.background,
+                deliver_ticks=0,
+                ascending=element.order is not AddressOrder.DOWN,
+                sweep_length=words,
+                ops=tuple(ops),
+            )
+        )
+    return plans
 
 
 # --------------------------------------------------------------------- #
@@ -132,19 +230,6 @@ def plan_session_buckets(bank) -> tuple[list[GeometryBucket], list[int]]:
     return buckets, fallback
 
 
-def batched_backend_pays_off(geometries) -> bool:
-    """Whether geometry bucketing amortizes anything for this bank shape.
-
-    The fleet scheduler's ``auto`` planning upgrades to the batched
-    backend exactly when some bucket holds at least two memories --
-    otherwise every stack has depth one and the per-memory numpy path is
-    the same work with less indirection.
-    """
-    return any(
-        len(members) >= 2 for members in geometry_buckets(geometries).values()
-    )
-
-
 # --------------------------------------------------------------------- #
 # Stacked session execution                                             #
 # --------------------------------------------------------------------- #
@@ -152,16 +237,23 @@ def run_batched_session(scheme: FastDiagnosisScheme) -> ProposedReport:
     """Run one diagnosis session with geometry-bucketed stacked sweeps.
 
     Produces the same :class:`~repro.core.report.ProposedReport` as the
-    reference and per-memory numpy paths, bit for bit (failure records in
-    identical order, cycle and time accounting included).
+    reference, bit for bit (failure records in identical order, cycle and
+    time accounting included).
     """
     algorithm, report, deliveries, nwrc_ops = begin_session(scheme)
     reads_per_word = algorithm.reads_per_word()
     buckets, fallback = plan_session_buckets(scheme.bank)
     for bucket in buckets:
         memories = [scheme.bank[index] for index in bucket.indices]
+        ecc = None
+        if scheme.ecc is not None:
+            ecc = BucketEcc(
+                bucket.bits,
+                [scheme.ecc_observers[memory.name] for memory in memories],
+            )
+        plans = session_step_plans(scheme, memories[0], algorithm)
         for memory, failures in zip(
-            memories, _run_bucket_session(scheme, memories, algorithm)
+            memories, run_bucket(memories, plans, scheme.controller_words, ecc)
         ):
             report.failures[memory.name] = failures
     for index in fallback:
@@ -271,25 +363,28 @@ class _TimedEvaluator:
         self._counters.add("lane.table.ns", time.perf_counter_ns() - started)
 
 
-def _run_bucket_session(
-    scheme: FastDiagnosisScheme, memories: list[SRAM], algorithm
+def run_bucket(
+    memories: list[SRAM],
+    plans: list[PauseStep | ElementPlan],
+    sweep_length: int,
+    ecc: "BucketEcc | None" = None,
 ) -> list[list[FailureRecord]]:
-    """Run every element of the session over one stacked geometry bucket."""
-    plans = session_step_plans(scheme, memories[0], algorithm)
+    """Run every step of ``plans`` over one stacked geometry bucket.
+
+    ``memories`` share one ``(words, bits)`` geometry and are all
+    vector-capable; ``sweep_length`` is the number of sweep positions
+    per element (the controller's word count in a session, the memory's
+    own in a raw run).  ``ecc`` is the bucket's stacked SEC-DED decoder
+    or ``None`` for raw observation.  Returns one reference-ordered
+    failure list per memory; packed state is synced back into the
+    memory objects before returning.
+    """
     states, _, _, lanes = pack_bank(memories)
     # Three-way row partition: ideal rows take the block-op path, rows
     # whose faults all lower take the compiled-table path, and the rest
     # keep the behavioural replay lane.
     lanes_split = lower_bucket(memories)
-    sweep = BucketSweep(
-        memories[0].words, scheme.controller_words, lanes_split.replay_masks
-    )
-    ecc = None
-    if scheme.ecc is not None:
-        ecc = BucketEcc(
-            memories[0].bits,
-            [scheme.ecc_observers[memory.name] for memory in memories],
-        )
+    sweep = BucketSweep(memories[0].words, sweep_length, lanes_split.replay_masks)
     evaluator = (
         TableEvaluator(lanes_split.table, sweep, states, ecc)
         if lanes_split.table is not None
@@ -368,9 +463,7 @@ def run_element_batched(
     ``ecc`` (the bucket's stacked SEC-DED decoder, also held by the
     evaluator) filters clean-path mismatches through the on-die
     correction before records form.  Returns one reference-ordered
-    failure list per memory, exactly what
-    :func:`repro.engine.kernel.run_element` would produce memory by
-    memory.
+    failure list per memory, in the reference's address-major order.
     """
     words = sweep_plan.words
     sweep = sweep_plan.sweep
@@ -437,7 +530,9 @@ def run_element_batched(
 
     # Clean and table rows: fleet-wide vector ops, block-wise so
     # wrap-around revisits never touch a row twice inside one
-    # assignment/compare.
+    # assignment/compare.  Failure records are built inline (positional,
+    # names hoisted): dense regimes fail ~10^5 reads a session.
+    names = [memory.name for memory in memories]
     write_lanes_per_op = [
         None if op_plan.op.is_read else word_to_lanes(op_plan.write_word, lanes)
         for op_plan in ops
@@ -518,12 +613,14 @@ def run_element_batched(
                                 (
                                     position,
                                     op_index,
-                                    _record(
-                                        memories[member],
-                                        plan,
-                                        op_plan,
+                                    FailureRecord(
+                                        names[member],
+                                        plan.step_index,
+                                        plan.step_label,
                                         op_index,
+                                        op_plan.operation,
                                         row,
+                                        plan.record_background,
                                         expected,
                                         observed,
                                     ),
@@ -539,12 +636,14 @@ def run_element_batched(
                                 (
                                     position,
                                     op_index,
-                                    _record(
-                                        memories[member],
-                                        plan,
-                                        op_plan,
+                                    FailureRecord(
+                                        names[member],
+                                        plan.step_index,
+                                        plan.step_label,
                                         op_index,
+                                        op_plan.operation,
                                         row,
+                                        plan.record_background,
                                         expected,
                                         observed,
                                     ),
@@ -588,7 +687,7 @@ def run_element_batched(
         )
 
     for member_records in records:
-        member_records.sort(key=lambda item: (item[0], item[1]))
+        member_records.sort(key=itemgetter(0, 1))
     return [[record for _, _, record in member] for member in records]
 
 

@@ -32,10 +32,9 @@ lowering protocol (:meth:`repro.faults.base.Fault.vector_lowerable` /
   visit clock offsets (:attr:`~repro.engine.kernel.ElementPlan.access_ticks`)
   and the time base's cycle model; the final draw counters / decay
   clocks are published back to the fault objects after the session.
-* **Non-lowerable faults** (legacy sequential-stream intermittent faults
-  behind the ``legacy_stream`` compat flag, intra-word coupling with its
-  intra-visit transition interleaving) keep the exact behavioural replay
-  lane.
+* **Non-lowerable faults** (intra-word coupling with its intra-visit
+  transition interleaving, and every fault sharing a cell with another)
+  keep the exact behavioural replay lane.
 
 Lane cohesion makes the split sound: coupling links its victim and
 aggressor words, so a word with any behavioural hook *taints* every word
@@ -43,7 +42,7 @@ reachable through coupling edges, and any cell touched by two faults
 (whose hooks would chain in attachment order) keeps all involved faults
 behavioural.  The result is bit-exact against the reference by
 construction and validated by the round-trip property suite and the
-three-way differential fuzz matrix.
+reference-vs-batched differential fuzz matrix.
 
 Inter-word coupling is expressible because the aggressor word and the
 victim word sit at *different* sweep positions: within one block every
@@ -63,7 +62,8 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.engine.packing import lanes_for, lanes_to_word, np
+from repro.engine.kernel import unpack_columns
+from repro.engine.packing import lanes_for, np
 from repro.telemetry.core import tracer as _tracer
 from repro.faults.base import (
     KIND_CF_ID,
@@ -830,23 +830,23 @@ class TableEvaluator:
                 table.rows_word[rows],
                 observed[hit_idx] ^ expected_lanes,
             )
-        hits = []
-        for index, hit in enumerate(hit_idx):
-            if keep is not None and not keep[index]:
-                continue
-            row = rows[index]
-            word = lanes_to_word(observed[hit])
-            if corrected is not None and corrected[index] >= 0:
-                word ^= 1 << int(corrected[index])
-            hits.append(
-                (
-                    int(table.rows_member[row]),
-                    int(table.rows_word[row]),
-                    int(ctx.positions[hit]),
-                    word,
-                )
+        # Bulk conversion: one C-level ``tolist`` per column instead of
+        # per-hit array indexing (dense regimes fail ~10^5 reads a session).
+        hits = zip(
+            table.rows_member[rows].tolist(),
+            table.rows_word[rows].tolist(),
+            ctx.positions[hit_idx].tolist(),
+            unpack_columns(observed[hit_idx]),
+        )
+        if keep is None:
+            return list(hits)
+        return [
+            (member, word, position, observed_word ^ (1 << bit if bit >= 0 else 0))
+            for (member, word, position, observed_word), kept, bit in zip(
+                hits, keep.tolist(), corrected.tolist()
             )
-        return hits
+            if kept
+        ]
 
     def _op_now(self, ctx: _BlockContext, op_index: int):
         """Analytic wall clock of op ``op_index`` at each retention entry.

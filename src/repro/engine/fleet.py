@@ -16,10 +16,9 @@ same SoC shape and defect rate, one derived seed per campaign -- and the
 * finished chunks stream into a :class:`~repro.engine.aggregate.FleetReport`
   in campaign order (out-of-order chunks are buffered briefly), keeping
   aggregation deterministic and memory bounded;
-* an ``auto`` backend is resolved once per run through the
-  geometry-bucketing planner (:mod:`repro.engine.batched`): SoCs where
-  several memories share a geometry upgrade to the fleet-batched backend,
-  everything else keeps the per-memory numpy/reference choice;
+* an ``auto`` backend is pinned once per run (:func:`plan_spec_backend`)
+  to the batched vector path when numpy is importable, so the report and
+  the checkpoint digest name the backend that actually ran;
 * with a :class:`~repro.engine.checkpoint.CheckpointStore` attached,
   every finished chunk is persisted immediately and ``resume=True`` skips
   chunks the store already holds, reproducing the uninterrupted run's
@@ -261,27 +260,34 @@ ChunkRunner = Callable[..., "list[CampaignSummary]"]
 
 
 def plan_spec_backend(spec):
-    """Resolve a spec's ``auto`` backend through the geometry planner.
+    """Pin a spec's ``auto`` backend to the one vector path.
 
-    Returns the spec itself unless it asks for ``auto``, numpy is
-    importable and the SoC has at least one geometry bucket of two or
-    more memories -- in which case a copy requesting the fleet-batched
-    backend is returned (bit-exact, so only throughput changes).  Spec-like
-    objects without a ``backend``/``build_soc`` contract pass through
-    untouched.
+    Returns a copy requesting the batched backend when the spec asks for
+    ``auto`` and numpy is importable, so the backend the run reports (and
+    its checkpoint digest) names the path that actually executes; every
+    other spec -- explicit backends, numpy-less hosts and spec-like
+    objects that are not dataclasses -- passes through untouched.
     """
     if (
         getattr(spec, "backend", None) != "auto"
         or not HAVE_NUMPY
         or not dataclasses.is_dataclass(spec)
-        or not hasattr(spec, "build_soc")
     ):
         return spec
-    from repro.engine.batched import batched_backend_pays_off
+    return dataclasses.replace(spec, backend="batched")
 
-    if batched_backend_pays_off(spec.build_soc().geometries):
-        return dataclasses.replace(spec, backend="batched")
-    return spec
+
+def _count_capacity(counters, workers: int, elapsed_ns: int) -> None:
+    """Record one run's worker count, wall time and worker capacity.
+
+    Capacity (``workers x elapsed``) is its own counter so that folding
+    several runs together -- the streaming monitor's epochs -- sums it
+    correctly, while the worker count itself merges as a maximum
+    (:data:`repro.telemetry.report.MAX_COUNTER_KEYS`).
+    """
+    counters.add("fleet.workers", workers)
+    counters.add("fleet.elapsed.ns", elapsed_ns)
+    counters.add("fleet.worker_capacity.ns", workers * elapsed_ns)
 
 
 class FleetScheduler:
@@ -436,9 +442,9 @@ class FleetScheduler:
         if parent_tracer is not None:
             telemetry_report = self._telemetry_report
             self._telemetry_report = None
-            counters = parent_tracer.counters
-            counters.add("fleet.workers", self.workers)
-            counters.add("fleet.elapsed.ns", int(report.elapsed_s * 1e9))
+            _count_capacity(
+                parent_tracer.counters, self.workers, int(report.elapsed_s * 1e9)
+            )
             telemetry_report.merge_tracer(parent_tracer)
             # Promote the plan-cache traffic into the telemetry channel
             # (the FleetReport fields stay as aliases for --json users).
@@ -490,10 +496,9 @@ class FleetScheduler:
             if parent_tracer is not None:
                 telemetry_report = self._telemetry_report
                 self._telemetry_report = None
-                counters = parent_tracer.counters
-                counters.add("fleet.workers", self.workers)
-                counters.add(
-                    "fleet.elapsed.ns",
+                _count_capacity(
+                    parent_tracer.counters,
+                    self.workers,
                     int((time.perf_counter() - started) * 1e9),
                 )
                 telemetry_report.merge_tracer(parent_tracer)

@@ -1,65 +1,36 @@
-"""Bit-parallel march-element executor shared by the engine's fast paths.
+"""Element plans and the scalar march lanes shared by the engine.
 
-Both the raw march backend (:mod:`repro.engine.backends`) and the fast
-proposed-scheme session (:mod:`repro.engine.session`) execute the same
-inner structure: one march element swept over a memory, with per-operation
-write data, expected read data (possibly different after the element's
-address sweep wraps around a smaller memory) and a per-operation clock
-cost.  This module runs that structure *bit-exactly* but vectorized:
+A march element resolved against one memory geometry is an
+:class:`ElementPlan`: per-operation write data, expected read data
+(possibly different after the element's address sweep wraps around a
+smaller memory) and a per-operation clock cost.  The one vector path,
+:mod:`repro.engine.batched`, sweeps those plans over stacked geometry
+buckets; this module holds the pieces it shares with the scalar lanes:
 
-* **Clean words** -- words whose accesses can trigger no fault hook
-  (:meth:`repro.memory.SRAM.hooked_words`) -- behave ideally, so a whole
-  element is applied to all of them at once: writes are whole-array lane
-  assignments, reads are whole-array lane compares.  The sweep is split
-  into *blocks* of at most ``memory.words`` consecutive positions so that
-  no word is touched twice inside one vector op (wrap-around revisits land
-  in later blocks, which also fixes the wrapped-expectation flag per
-  block).
-* **Dirty words** are replayed through the behavioural access path
-  (``memory.read`` / ``memory.write`` / ``memory.nwrc_write``) in exact
-  sweep order, with the shared time base fast-forwarded to the cycle the
-  reference implementation would show at each visit -- so stateful faults
-  (retention decay, coupling, read-destructive) observe identical times
-  and orderings.
+* :func:`replay_dirty_positions` -- the behavioural replay lane.  Words
+  whose faults cannot be lowered into the compiled fault table are
+  replayed through the memory's access path in exact sweep order, with
+  the shared time base fast-forwarded to the cycle the reference
+  implementation would show at each visit, so stateful faults observe
+  identical times and orderings.
+* :func:`run_element_slow` -- the pure-Python executor for memories the
+  vector path cannot represent (decoder/column-mux faults, tracing).
+* :func:`sync_clean_rows` / :class:`CleanWordTracker` -- packed-state
+  write-back and the provably-clean compare skip.
 
-Failure records from both populations are merged back into the reference's
-address-major order, so result equality is exact down to list order.
+Failure records carry ``(position, op_index)`` keys so every lane merges
+back into the reference's address-major order exactly.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from repro.ecc.vector import decode_mismatches
-from repro.engine.packing import (
-    lanes_for,
-    lanes_to_word,
-    np,
-    pack_state,
-    word_to_lanes,
-)
+from repro.engine.packing import np
 from repro.march.ops import Operation
 from repro.march.simulator import FailureRecord
 from repro.memory.sram import SRAM
 from repro.telemetry.core import tracer as _tracer
-
-
-def pack_memory(memory: SRAM):
-    """Pack a memory for vector execution.
-
-    Returns ``(state, clean_mask, dirty_mask, lanes)``: the ``(words,
-    lanes)`` uint64 state array, the complementary clean/dirty row masks
-    (dirty = any fault hook can fire there) and the lane count.  The state
-    array is authoritative for clean rows only; hand it back through
-    :func:`sync_clean_rows` when the run finishes.
-    """
-    lanes = lanes_for(memory.bits)
-    state = pack_state(memory.dump(), lanes)
-    dirty_mask = np.zeros(memory.words, dtype=bool)
-    for word in memory.hooked_words():
-        dirty_mask[word] = True
-    return state, ~dirty_mask, dirty_mask, lanes
 
 
 def sync_clean_rows(memory: SRAM, state, clean_mask) -> None:
@@ -175,12 +146,10 @@ class ElementPlan:
         object.__setattr__(self, "access_ticks", tuple(access_ticks))
 
 
-def replay_dirty_rows(
+def replay_dirty_positions(
     memory: SRAM,
-    dirty_mask,
     plan: ElementPlan,
-    positions,
-    local_rows,
+    dirty_positions: list[int],
     base_cycles: int,
     per_address: int,
     ecc=None,
@@ -190,31 +159,9 @@ def replay_dirty_rows(
     The shared time base is fast-forwarded to the cycle the reference
     implementation would show at each visit, so stateful faults observe
     identical times and orderings.  Returns ``(position, op_index,
-    record)`` triples for merging back into reference order.
-    """
-    return replay_dirty_positions(
-        memory,
-        plan,
-        positions[dirty_mask[local_rows]].tolist(),
-        base_cycles,
-        per_address,
-        ecc,
-    )
-
-
-def replay_dirty_positions(
-    memory: SRAM,
-    plan: ElementPlan,
-    dirty_positions: list[int],
-    base_cycles: int,
-    per_address: int,
-    ecc=None,
-) -> list[tuple[int, int, FailureRecord]]:
-    """:func:`replay_dirty_rows` with the sweep positions pre-resolved.
-
-    The batched tier precomputes each memory's dirty positions once per
-    session (they depend only on the static dirty mask and the sweep
-    direction) instead of re-masking the whole sweep per element; local
+    record)`` triples for merging back into reference order.  The batched
+    tier precomputes each memory's dirty positions once per session (they
+    depend only on the static dirty mask and the sweep direction); local
     rows fall out of the position arithmetically.
 
     Accesses go through the memory's ideal-periphery replay lane
@@ -278,122 +225,6 @@ def replay_dirty_positions(
             else:
                 write(local, write_word, is_nwrc)
     return records
-
-
-def run_element(
-    memory: SRAM,
-    state,
-    clean_mask,
-    dirty_mask,
-    plan: ElementPlan,
-    lanes: int,
-    ecc=None,
-) -> list[FailureRecord]:
-    """Execute one element; returns its failures in reference order.
-
-    ``state`` is the packed ``(words, lanes)`` array -- authoritative for
-    clean rows only (dirty rows live in the memory's behavioural state).
-    With ``ecc`` (the memory's observer) set, clean-path mismatches go
-    through the lane-plane SEC-DED decoder in bulk and masked rows are
-    dropped before records form.
-    """
-    words = memory.words
-    sweep = plan.sweep_length
-    ops = plan.ops
-    per_address = sum(op.tick_cost for op in ops)
-    timebase = memory.timebase
-    if plan.deliver_ticks:
-        timebase.tick(plan.deliver_ticks)
-    base_cycles = timebase.cycles
-    records: list[tuple[int, int, FailureRecord]] = []
-
-    positions = np.arange(sweep)
-    addresses = positions if plan.ascending else (sweep - 1) - positions
-    local_rows = addresses % words if sweep != words else addresses
-
-    tr = _tracer()
-    telem = tr.enabled
-    if telem:
-        replay_started = time.perf_counter_ns()
-
-    # Dirty rows: behavioural replay in exact sweep order and time.
-    replay_words = 0
-    if dirty_mask.any():
-        if telem:
-            replay_words = int(dirty_mask[local_rows].sum())
-        records.extend(
-            replay_dirty_rows(
-                memory, dirty_mask, plan, positions, local_rows, base_cycles,
-                per_address, ecc,
-            )
-        )
-
-    # The clean rows' share of the schedule is pure clocking.
-    timebase.tick(base_cycles + sweep * per_address - timebase.cycles)
-
-    if telem:
-        clean_started = time.perf_counter_ns()
-        counters = tr.counters
-        counters.add("lane.replay.ns", clean_started - replay_started)
-        counters.add("lane.replay.words", replay_words)
-        counters.add("lane.clean.words", sweep - replay_words)
-
-    # Clean rows: block-wise vector ops (a block never revisits a row).
-    if clean_mask.any():
-        for block_start in range(0, sweep, words):
-            block_end = min(block_start + words, sweep)
-            wrapped = block_start >= words
-            block_rows = local_rows[block_start:block_end]
-            visited = clean_mask[block_rows]
-            rows = block_rows[visited]
-            if rows.size == 0:
-                continue
-            block_positions = positions[block_start:block_end][visited]
-            for op_index, op_plan in enumerate(ops):
-                if op_plan.op.is_read:
-                    expected = (
-                        op_plan.expected_wrapped if wrapped else op_plan.expected_plain
-                    )
-                    expected_lanes = word_to_lanes(expected, lanes)
-                    mismatch = (state[rows] != expected_lanes).any(axis=1)
-                    if mismatch.any():
-                        hits = np.nonzero(mismatch)[0]
-                        keep = corrected = None
-                        if ecc is not None:
-                            hit_rows = rows[hits]
-                            keep, corrected = decode_mismatches(
-                                ecc, hit_rows, state[hit_rows] ^ expected_lanes
-                            )
-                        for index, hit in enumerate(hits):
-                            if keep is not None and not keep[index]:
-                                continue
-                            row = int(rows[hit])
-                            observed = lanes_to_word(state[row])
-                            if corrected is not None and corrected[index] >= 0:
-                                observed ^= 1 << int(corrected[index])
-                            records.append(
-                                (
-                                    int(block_positions[hit]),
-                                    op_index,
-                                    _record(
-                                        memory,
-                                        plan,
-                                        op_plan,
-                                        op_index,
-                                        row,
-                                        expected,
-                                        observed,
-                                    ),
-                                )
-                            )
-                else:
-                    state[rows] = word_to_lanes(op_plan.write_word, lanes)
-
-    if telem:
-        counters.add("lane.clean.ns", time.perf_counter_ns() - clean_started)
-
-    records.sort(key=lambda item: (item[0], item[1]))
-    return [record for _, _, record in records]
 
 
 def run_element_slow(

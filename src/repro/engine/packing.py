@@ -1,7 +1,7 @@
 """Bit-lane packing for the vectorized march backend.
 
 The behavioural :class:`repro.memory.SRAM` stores each word as one Python
-integer of arbitrary width.  The numpy backend re-packs that state into a
+integer of arbitrary width.  The batched backend re-packs that state into a
 ``(words, lanes)`` array of ``uint64`` lanes (lane ``i`` holds word bits
 ``64 * i`` .. ``64 * i + 63``), so march writes become whole-array
 assignments and march reads become whole-array compares.
@@ -71,9 +71,9 @@ def pack_bank(memories):
     Returns ``(states, clean_masks, dirty_masks, lanes)`` where ``states``
     is ``(n_mem, words, lanes)`` uint64 and the masks are ``(n_mem,
     words)`` bool (dirty = some fault hook can fire on that word).  Row
-    ``states[i]`` is authoritative for memory ``i``'s *clean* words only,
-    exactly like the single-memory packing in
-    :func:`repro.engine.kernel.pack_memory`; hand each slice back through
+    ``states[i]`` is authoritative for memory ``i``'s vector-lane words
+    only (behavioural-replay rows live in the memory objects); hand each
+    slice back through
     :func:`repro.engine.kernel.sync_clean_rows` when the run finishes.
 
     All memories must share ``(words, bits)`` -- the geometry-bucketing

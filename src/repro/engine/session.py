@@ -12,19 +12,16 @@ by exploiting two structural facts:
 * the memories never interact: each memory's observations depend only on
   its own faults, its local address wrap and the delivered backgrounds.
 
-So the runner accounts the schedule arithmetically and simulates each
-memory independently through the bit-parallel kernel
-(:mod:`repro.engine.kernel`), replaying only fault-hooked words through
-the behavioural access path.  Memories the vector path cannot represent
-(decoder/column-mux faults, tracing) take a per-memory pure-Python path
-that mirrors the reference loop exactly, and whole-session features the
-fast path does not model (``bit_accurate``, ``early_abort``, protocol
-monitors, missing numpy) delegate to ``scheme.diagnose`` itself.
-
-The fleet-batched tier (:mod:`repro.engine.batched`) shares this module's
-plan building and schedule accounting but sweeps *stacks* of same-geometry
-memories per vector op; ``run_session`` dispatches to it when the resolved
-backend is the batched one.
+This module holds the session shell -- schedule accounting
+(:func:`begin_session` / :func:`finish_session`), per-memory counter
+bookkeeping and the cached element plans -- and dispatches every fast
+session to the one vector path, :func:`repro.engine.batched.run_batched_session`,
+which sweeps stacks of same-geometry memories per vector op.  Memories
+the vector path cannot represent (decoder/column-mux faults, tracing)
+take :func:`_run_memory_session`, a per-memory pure-Python path that
+mirrors the reference loop exactly; whole-session features the fast path
+does not model (``bit_accurate``, ``early_abort``, protocol monitors,
+missing numpy) delegate to ``scheme.diagnose`` itself.
 """
 
 from __future__ import annotations
@@ -33,22 +30,8 @@ from collections import OrderedDict
 
 from repro.core.report import ProposedReport
 from repro.core.scheme import FastDiagnosisScheme
-from repro.engine.backends import (
-    MarchBackend,
-    NumpyBackend,
-    ReferenceBackend,
-    resolve_backend,
-    vector_capable,
-)
-from repro.engine.kernel import (
-    ElementPlan,
-    OpPlan,
-    pack_memory,
-    run_element,
-    run_element_slow,
-    sync_clean_rows,
-)
-from repro.engine.packing import HAVE_NUMPY
+from repro.engine.backends import MarchBackend, ReferenceBackend, resolve_backend
+from repro.engine.kernel import ElementPlan, OpPlan, run_element_slow
 from repro.march.algorithm import MarchAlgorithm, PauseStep
 from repro.march.element import AddressOrder
 from repro.march.simulator import FailureRecord
@@ -67,19 +50,20 @@ def run_session(
     """Run one diagnosis session through the selected backend.
 
     With the reference backend (or any session feature the fast path does
-    not model) this is exactly ``scheme.diagnose()``; with the numpy
-    backend the same report is produced bit-identically but the per-word
-    work is vectorized, and with the batched backend same-geometry
-    memories are additionally swept as one stacked array per vector op.
-    Session execution only knows these strategies, so other
+    not model) this is exactly ``scheme.diagnose()``; with the batched
+    backend the same report is produced bit-identically, sweeping
+    same-geometry memories as one stacked array per vector op.  Session
+    execution only knows these two strategies, so other
     (custom-registered) backend types are rejected rather than silently
     substituted -- use them through
     :meth:`~repro.engine.backends.MarchBackend.run` for raw march runs.
     """
+    # Imported lazily: batched builds on this module's helpers.
+    from repro.engine.batched import BatchedBackend, run_batched_session
+
     resolved = resolve_backend(backend)
     fast = (
-        isinstance(resolved, NumpyBackend)
-        and HAVE_NUMPY
+        isinstance(resolved, BatchedBackend)
         and not bit_accurate
         and not early_abort
         and scheme.monitor is None
@@ -88,16 +72,11 @@ def run_session(
         and scheme.control.drf_screening
     )
     if fast:
-        # Imported lazily: batched builds on this module's helpers.
-        from repro.engine.batched import BatchedBackend, run_batched_session
-
-        if isinstance(resolved, BatchedBackend):
-            return run_batched_session(scheme)
-        return _run_fast_session(scheme)
+        return run_batched_session(scheme)
     require(
-        isinstance(resolved, (NumpyBackend, ReferenceBackend)),
-        f"run_session supports the 'reference', 'numpy' and 'batched' "
-        f"backends, got {type(resolved).__name__}",
+        isinstance(resolved, (BatchedBackend, ReferenceBackend)),
+        f"run_session supports the 'reference' and 'batched' backends, "
+        f"got {type(resolved).__name__}",
     )
     return scheme.diagnose(bit_accurate=bit_accurate, early_abort=early_abort)
 
@@ -108,8 +87,8 @@ def begin_session(scheme: FastDiagnosisScheme):
     Returns ``(algorithm, report, deliveries, nwrc_ops)`` with the
     closed-form cycle schedule (identical to the reference's
     per-operation increments, summed) already folded into ``report`` and
-    the element-start handshake counters fired.  Shared by the per-memory
-    fast session below and the fleet-batched session runner.
+    the element-start handshake counters fired.  Opens every
+    fleet-batched session.
     """
     algorithm = scheme.algorithm_factory(scheme.controller_bits)
     require(
@@ -294,50 +273,21 @@ def _build_step_plans(
     return plans
 
 
-def _run_fast_session(scheme: FastDiagnosisScheme) -> ProposedReport:
-    algorithm, report, deliveries, nwrc_ops = begin_session(scheme)
-    reads_per_word = algorithm.reads_per_word()
-    for memory in scheme.bank:
-        failures = _run_memory_session(scheme, memory, algorithm)
-        report.failures[memory.name] = failures
-        finalize_memory_counters(scheme, memory, failures, reads_per_word)
-    return finish_session(scheme, report, deliveries, nwrc_ops)
-
-
 def _run_memory_session(
     scheme: FastDiagnosisScheme, memory: SRAM, algorithm: MarchAlgorithm
 ) -> list[FailureRecord]:
-    """Simulate one memory through the whole session, fast where possible."""
-    vector = vector_capable(memory)
-    if vector:
-        state, clean_mask, dirty_mask, lanes = pack_memory(memory)
+    """Simulate one non-vector-capable memory through the whole session."""
     ecc = scheme.ecc_observers.get(memory.name)
-
     tr = _tracer()
     failures: list[FailureRecord] = []
     for plan in session_step_plans(scheme, memory, algorithm):
         if isinstance(plan, PauseStep):
             memory.pause(plan.duration_ns)
-            continue
-        if tr.enabled:
+        elif tr.enabled:
             with tr.span(
                 "march.element", "march", step=plan.step_label, memory=memory.name
             ):
-                if vector:
-                    failures.extend(
-                        run_element(
-                            memory, state, clean_mask, dirty_mask, plan, lanes, ecc
-                        )
-                    )
-                else:
-                    failures.extend(run_element_slow(memory, plan, ecc))
-        elif vector:
-            failures.extend(
-                run_element(memory, state, clean_mask, dirty_mask, plan, lanes, ecc)
-            )
+                failures.extend(run_element_slow(memory, plan, ecc))
         else:
             failures.extend(run_element_slow(memory, plan, ecc))
-
-    if vector:
-        sync_clean_rows(memory, state, clean_mask)
     return failures

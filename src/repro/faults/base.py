@@ -169,10 +169,10 @@ class Fault:
         counter-based Bernoulli streams (intermittent/SEU) or the elapsed
         time since the last fragile write (retention decay), both of
         which are closed-form in the march plan's per-cell visit orders
-        and the time base's cycle model.  Faults whose randomness is a
-        *sequential* stream (the legacy intermittent compat mode) or that
-        rewire the periphery (decoder/column faults) return ``False`` and
-        keep the exact behavioural replay lane.  The conservative default
+        and the time base's cycle model.  Faults whose behaviour depends
+        on intra-visit ordering (intra-word coupling) or that rewire the
+        periphery (decoder/column faults) return ``False`` and keep the
+        exact behavioural replay lane.  The conservative default
         is non-lowerable, so new fault classes opt *in*.
         """
         return False

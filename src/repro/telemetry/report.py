@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.telemetry.core import Counters, Tracer
 
-__all__ = ["TelemetryReport", "LANE_COUNTER_KEYS"]
+__all__ = ["TelemetryReport", "LANE_COUNTER_KEYS", "MAX_COUNTER_KEYS"]
 
 #: Counter names the lane-attribution view is derived from (time in
 #: integer nanoseconds, words in word-visits per march element).
@@ -33,6 +33,11 @@ LANE_COUNTER_KEYS = (
     "lane.table.words",
     "lane.clean.words",
 )
+
+#: Counters that describe a run's shape rather than accumulate work: two
+#: runs folded together (the streaming monitor's epochs) had as many
+#: workers as the larger of them, not the sum.
+MAX_COUNTER_KEYS = frozenset({"fleet.workers"})
 
 #: Raw spans kept across all merged snapshots (aggregate span statistics
 #: are unbounded and always exact; only the trace-viewer buffer is capped).
@@ -58,7 +63,7 @@ class TelemetryReport:
         """Fold one worker (or parent) tracer snapshot in."""
         pid = snapshot.get("pid", 0)
         self.processes.add(pid)
-        self.counters.merge(snapshot.get("counters", {}))
+        self._merge_counters(snapshot.get("counters", {}))
         for name, stats in snapshot.get("span_stats", {}).items():
             merged = self.span_stats.get(name)
             if merged is None:
@@ -88,7 +93,7 @@ class TelemetryReport:
         epoch reports into the monitor's cumulative one.
         """
         self.processes |= other.processes
-        self.counters.merge(other.counters.to_dict())
+        self._merge_counters(other.counters.values)
         for name, stats in other.span_stats.items():
             merged = self.span_stats.get(name)
             if merged is None:
@@ -104,6 +109,14 @@ class TelemetryReport:
                 self.spans.append((pid, span))
             else:
                 self.dropped_spans += 1
+
+    def _merge_counters(self, values: dict) -> None:
+        counters = self.counters
+        for name, value in values.items():
+            if name in MAX_COUNTER_KEYS:
+                counters.values[name] = max(counters.get(name), value)
+            else:
+                counters.add(name, value)
 
     # ------------------------------------------------------------------ #
     # Derived views                                                      #
@@ -144,11 +157,11 @@ class TelemetryReport:
         """Scheduler-level derived metrics (utilization, queue wait, I/O)."""
         get = self.counters.get
         workers = get("fleet.workers")
-        elapsed_ns = get("fleet.elapsed.ns")
+        capacity_ns = get("fleet.worker_capacity.ns")
         busy_ns = get("fleet.worker_busy.ns")
         utilization = None
-        if workers and elapsed_ns:
-            utilization = min(1.0, busy_ns / (workers * elapsed_ns))
+        if capacity_ns:
+            utilization = min(1.0, busy_ns / capacity_ns)
         return {
             "workers": int(workers) or None,
             "chunks": int(get("fleet.chunks")),

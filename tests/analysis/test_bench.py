@@ -30,8 +30,8 @@ class TestMeasureBatchedFleet:
         ]
         for row in results["rows"]:
             assert row["bit_identical"] is True
-            assert row["numpy_s"] > 0 and row["batched_s"] > 0
-            assert row["speedup"] == row["numpy_s"] / row["batched_s"]
+            assert row["reference_s"] > 0 and row["batched_s"] > 0
+            assert row["speedup"] == row["reference_s"] / row["batched_s"]
         gated = [row for row in results["rows"] if row["gated"]]
         assert {row["regime"] for row in gated} == {
             "screening",

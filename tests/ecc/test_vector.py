@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.ecc import EccObserver, secded_code
-from repro.ecc.vector import decode_mismatches, vector_secded
+from repro.ecc.vector import BucketEcc, vector_secded
 from repro.engine.packing import lanes_for
 from repro.util.rng import make_rng
 
@@ -71,8 +71,10 @@ def test_decode_mismatches_matches_scalar_observer(bits):
     ]
 
     vector = EccObserver("m", code)
-    keep, corrected = decode_mismatches(
-        vector, np.asarray(addresses), pack_words(errors, bits)
+    keep, corrected = BucketEcc(bits, [vector]).decode_rows(
+        np.zeros(len(errors), dtype=int),
+        np.asarray(addresses),
+        pack_words(errors, bits),
     )
     assert vector.summary() == scalar.summary()
     for row, (word, error) in enumerate(zip(expected_words, errors)):

@@ -1,9 +1,10 @@
-"""Backend equivalence: the numpy backend is bit-exact vs the reference.
+"""Backend equivalence: raw batched runs are bit-exact vs the reference.
 
 Every assertion here compares *complete* results -- the failure-record
 lists (order included), cycle/time accounting and the final stored memory
-state -- between the pure-Python reference backend and the numpy
-bit-parallel backend on identically built memories.
+state -- between the pure-Python reference backend and a raw
+single-memory run of the batched vector backend (a bucket of one) on
+identically built memories.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ import pytest
 
 from repro.engine.backends import (
     MarchBackend,
-    NumpyBackend,
     ReferenceBackend,
     available_backends,
     get_backend,
     register_backend,
     resolve_backend,
 )
+from repro.engine.batched import BatchedBackend
 from repro.faults.coupling import (
     IdempotentCouplingFault,
     InversionCouplingFault,
@@ -44,6 +45,7 @@ from repro.march.library import (
 )
 from repro.memory.geometry import CellRef, MemoryGeometry
 from repro.memory.sram import SRAM
+from repro.telemetry.core import activate, deactivate
 
 GEOMETRY = MemoryGeometry(16, 6, "eq")
 
@@ -73,18 +75,18 @@ ALGORITHMS = [march_c_minus, march_cw_nw, march_ss, march_with_retention_pauses]
 def assert_equivalent(make_memory, algorithm_factory):
     """Run both backends on twin memories and compare everything."""
     reference_memory = make_memory()
-    numpy_memory = make_memory()
+    batched_memory = make_memory()
     reference = ReferenceBackend().run(
         reference_memory, algorithm_factory(reference_memory.bits)
     )
-    vectorized = get_backend("numpy").run(
-        numpy_memory, algorithm_factory(numpy_memory.bits)
+    vectorized = get_backend("batched").run(
+        batched_memory, algorithm_factory(batched_memory.bits)
     )
     assert vectorized.failures == reference.failures
     assert vectorized.cycles == reference.cycles
     assert vectorized.elapsed_ns == reference.elapsed_ns
-    assert numpy_memory.dump() == reference_memory.dump()
-    assert numpy_memory.timebase.cycles == reference_memory.timebase.cycles
+    assert batched_memory.dump() == reference_memory.dump()
+    assert batched_memory.timebase.cycles == reference_memory.timebase.cycles
     return reference
 
 
@@ -142,6 +144,24 @@ class TestPopulationEquivalence:
 
         assert_equivalent(build, march_cw_nw)
 
+    def test_raw_run_uses_the_fault_table_lane(self):
+        # Stuck-at and transition faults lower into the compiled table, so
+        # a raw run (a bucket of one) must evaluate them there -- not in
+        # the behavioural replay lane -- and still match the reference.
+        def build():
+            memory = SRAM(GEOMETRY)
+            StuckAtFault(CellRef(3, 1), value=0).attach(memory)
+            TransitionFault(CellRef(7, 2), rising=True).attach(memory)
+            return memory
+
+        tracer = activate()
+        try:
+            assert_equivalent(build, march_cw_nw)
+        finally:
+            deactivate()
+        assert tracer.counters.get("lane.table.words") > 0
+        assert tracer.counters.get("lane.replay.words") == 0
+
 
 class TestFallbacks:
     def test_decoder_fault_falls_back_and_matches(self):
@@ -150,7 +170,7 @@ class TestFallbacks:
             memory.decoder.remap_address(3, 5)
             return memory
 
-        assert not NumpyBackend().supports(build())
+        assert not BatchedBackend().supports(build())
         assert_equivalent(build, march_c_minus)
 
     def test_column_fault_falls_back_and_matches(self):
@@ -164,7 +184,7 @@ class TestFallbacks:
     def test_stop_on_first_failure_delegates(self):
         memory = SRAM(GEOMETRY)
         StuckAtFault(CellRef(2, 2), value=1).attach(memory)
-        backend = NumpyBackend(stop_on_first_failure=True)
+        backend = BatchedBackend(stop_on_first_failure=True)
         assert not backend.supports(memory)
         result = backend.run(memory, march_c_minus(memory.bits))
         assert result.failure_count == 1
@@ -174,12 +194,12 @@ class TestRegistry:
     def test_known_backends(self):
         availability = available_backends()
         assert availability["reference"] is True
-        assert "numpy" in availability and "fast" in availability
+        assert availability["batched"] is True
+        assert "numpy" not in availability and "fast" not in availability
 
     def test_get_backend_auto(self):
-        assert isinstance(get_backend("auto"), MarchBackend)
+        assert isinstance(get_backend("auto"), BatchedBackend)
         assert isinstance(get_backend("reference"), ReferenceBackend)
-        assert isinstance(get_backend("fast"), NumpyBackend)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -188,7 +208,7 @@ class TestRegistry:
     def test_resolve_backend_passthrough(self):
         backend = ReferenceBackend()
         assert resolve_backend(backend) is backend
-        assert isinstance(resolve_backend("numpy"), NumpyBackend)
+        assert isinstance(resolve_backend("batched"), BatchedBackend)
         assert isinstance(resolve_backend(None), MarchBackend)
 
     def test_register_backend_duplicate_rejected(self):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baseline.scheme import HuangJoneScheme
-from repro.engine.backends import MarchBackend, NumpyBackend, ReferenceBackend
+from repro.engine.backends import MarchBackend, ReferenceBackend
+from repro.engine.batched import BatchedBackend
 from repro.engine.baseline_session import run_baseline_session
 from repro.faults.injector import FaultInjector
 from repro.faults.population import sample_population
@@ -75,7 +76,7 @@ class TestFaultLibraryEquivalence:
         fast = run_baseline_session(
             HuangJoneScheme(fast_bank),
             fast_injector,
-            backend="numpy",
+            backend="batched",
             bit_accurate=True,
         )
         assert_baseline_equal(reference, fast, reference_bank, fast_bank)
@@ -95,7 +96,7 @@ class TestFaultLibraryEquivalence:
         fast = run_baseline_session(
             HuangJoneScheme(fast_bank),
             fast_injector,
-            backend="numpy",
+            backend="batched",
             bit_accurate=True,
         )
         assert reference.localized  # guard against a vacuous comparison
@@ -113,7 +114,7 @@ class TestBitAccurateEquivalence:
         fast = run_baseline_session(
             HuangJoneScheme(fast_bank),
             fast_injector,
-            backend="numpy",
+            backend="batched",
             bit_accurate=True,
         )
         assert_baseline_equal(reference, fast, reference_bank, fast_bank)
@@ -135,7 +136,7 @@ class TestBitAccurateEquivalence:
         fast = run_baseline_session(
             HuangJoneScheme(fast_bank),
             fast_injector,
-            backend="numpy",
+            backend="batched",
             bit_accurate=True,
             max_iterations=2,
         )
@@ -152,7 +153,7 @@ class TestBitAccurateEquivalence:
             injector.inject(clean, [TransitionFault(CellRef(3, 2), rising=True)])
             return MemoryBank([faulty, clean]), injector
 
-        assert not NumpyBackend().supports_baseline(build()[0][0])
+        assert not BatchedBackend().supports_baseline(build()[0][0])
         reference_bank, reference_injector = build()
         fast_bank, fast_injector = build()
         reference = HuangJoneScheme(reference_bank).diagnose(
@@ -161,7 +162,7 @@ class TestBitAccurateEquivalence:
         fast = run_baseline_session(
             HuangJoneScheme(fast_bank),
             fast_injector,
-            backend="numpy",
+            backend="batched",
             bit_accurate=True,
         )
         assert_baseline_equal(reference, fast, reference_bank, fast_bank)
@@ -169,7 +170,7 @@ class TestBitAccurateEquivalence:
     def test_fault_free_bank_localizes_nothing(self):
         bank = MemoryBank([SRAM(GEOMETRY)])
         report = run_baseline_session(
-            HuangJoneScheme(bank), FaultInjector(), backend="numpy", bit_accurate=True
+            HuangJoneScheme(bank), FaultInjector(), backend="batched", bit_accurate=True
         )
         assert report.iterations == 0
         assert report.localized == []
@@ -183,7 +184,7 @@ class TestModeAndBackendRouting:
             reference_injector, include_drf=True
         )
         fast = run_baseline_session(
-            HuangJoneScheme(fast_bank), fast_injector, backend="numpy", include_drf=True
+            HuangJoneScheme(fast_bank), fast_injector, backend="batched", include_drf=True
         )
         assert fast.iterations == reference.iterations
         assert fast.localized == reference.localized
@@ -213,11 +214,11 @@ class TestModeAndBackendRouting:
     def test_supports_baseline_capability(self):
         memory = SRAM(GEOMETRY)
         assert ReferenceBackend().supports_baseline(memory)
-        assert NumpyBackend().supports_baseline(memory)
+        assert BatchedBackend().supports_baseline(memory)
         # Early-stop does not disqualify serial replay (unlike march runs).
-        assert NumpyBackend(stop_on_first_failure=True).supports_baseline(memory)
+        assert BatchedBackend(stop_on_first_failure=True).supports_baseline(memory)
         traced = SRAM(GEOMETRY, trace=True)
-        assert not NumpyBackend().supports_baseline(traced)
+        assert not BatchedBackend().supports_baseline(traced)
         assert not MarchBackend().supports_baseline(memory)
 
 
@@ -227,11 +228,11 @@ class TestEarlyAbort:
         exact_bank, exact_injector = build_sampled_bank(seed)
         abort_bank, abort_injector = build_sampled_bank(seed)
         exact = run_baseline_session(
-            HuangJoneScheme(exact_bank), exact_injector, backend="numpy",
+            HuangJoneScheme(exact_bank), exact_injector, backend="batched",
             bit_accurate=True,
         )
         aborted = run_baseline_session(
-            HuangJoneScheme(abort_bank), abort_injector, backend="numpy",
+            HuangJoneScheme(abort_bank), abort_injector, backend="batched",
             bit_accurate=True, early_abort=True,
         )
         assert aborted.iterations <= exact.iterations
@@ -255,11 +256,11 @@ class TestEarlyAbort:
         exact_bank, exact_injector = build()
         abort_bank, abort_injector = build()
         exact = run_baseline_session(
-            HuangJoneScheme(exact_bank), exact_injector, backend="numpy",
+            HuangJoneScheme(exact_bank), exact_injector, backend="batched",
             bit_accurate=True,
         )
         aborted = run_baseline_session(
-            HuangJoneScheme(abort_bank), abort_injector, backend="numpy",
+            HuangJoneScheme(abort_bank), abort_injector, backend="batched",
             bit_accurate=True, early_abort=True,
         )
         assert aborted.iterations == exact.iterations - 1
@@ -275,7 +276,7 @@ class TestEarlyAbort:
         )
         fast = run_baseline_session(
             HuangJoneScheme(fast_bank), fast_injector,
-            backend="numpy", bit_accurate=True, early_abort=True,
+            backend="batched", bit_accurate=True, early_abort=True,
         )
         assert_baseline_equal(reference, fast, reference_bank, fast_bank)
 
@@ -294,7 +295,7 @@ class TestEarlyAbort:
 
         bank, injector = build()
         report = run_baseline_session(
-            HuangJoneScheme(bank), injector, backend="numpy",
+            HuangJoneScheme(bank), injector, backend="batched",
             bit_accurate=True, include_drf=True,
         )
         twin_bank, twin_injector = build()

@@ -1,4 +1,4 @@
-"""Unit tests for the fleet-batched tier: planner, packing, dispatch."""
+"""Unit tests for the batched vector path: planner, packing, dispatch."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.core.scheme import FastDiagnosisScheme
 from repro.engine.backends import available_backends, get_backend
 from repro.engine.batched import (
     BatchedBackend,
-    batched_backend_pays_off,
     geometry_buckets,
     plan_session_buckets,
     run_batched_session,
@@ -60,15 +59,6 @@ class TestGeometryBuckets:
             [MemoryGeometry(4, 2, "x"), MemoryGeometry(8, 4, "y"), MemoryGeometry(4, 2, "z")]
         )
         assert list(buckets) == [(4, 2), (8, 4)]
-
-    def test_pays_off_requires_a_shared_shape(self):
-        assert not batched_backend_pays_off([MemoryGeometry(8, 4, "a")])
-        assert not batched_backend_pays_off(
-            [MemoryGeometry(8, 4, "a"), MemoryGeometry(16, 4, "b")]
-        )
-        assert batched_backend_pays_off(
-            [MemoryGeometry(8, 4, "a"), MemoryGeometry(8, 4, "b")]
-        )
 
 
 class TestSessionBucketPlanner:
@@ -128,10 +118,10 @@ class TestRegistryAndDispatch:
 
         via_name = run_session(fresh(), backend="batched")
         direct = run_batched_session(fresh())
-        numpy_report = run_session(fresh(), backend="numpy")
-        assert via_name.failures == direct.failures == numpy_report.failures
-        assert via_name.cycles == direct.cycles == numpy_report.cycles
-        assert via_name.time_ns == numpy_report.time_ns
+        reference = fresh().diagnose()
+        assert via_name.failures == direct.failures == reference.failures
+        assert via_name.cycles == direct.cycles == reference.cycles
+        assert via_name.time_ns == reference.time_ns
 
     def test_fallback_memory_rides_along_with_buckets(self):
         # A traced memory takes the per-memory path while its bucketed
@@ -155,7 +145,7 @@ class TestRegistryAndDispatch:
 
     def test_unsupported_session_features_delegate(self):
         # bit_accurate is outside the fast-path contract: the batched
-        # backend must fall back to scheme.diagnose exactly like numpy.
+        # backend must fall back to scheme.diagnose exactly.
         scheme = FastDiagnosisScheme(bank_of((6, 3)))
         batched = run_session(scheme, backend="batched", bit_accurate=True)
         reference = FastDiagnosisScheme(bank_of((6, 3))).diagnose(bit_accurate=True)
@@ -170,17 +160,21 @@ class TestAutoPlanning:
         assert planned.backend == "batched"
         assert FleetScheduler(spec, workers=1).spec.backend == "batched"
 
-    def test_auto_keeps_numpy_for_all_distinct_shapes(self):
+    def test_auto_pins_batched_for_all_distinct_shapes(self):
+        # No geometry bucket holds two memories here; there is still only
+        # one vector path, so ``auto`` resolves to it all the same.
         spec = FleetSpec(
             soc="case-study", memories=4, campaigns=2, backend="auto"
         )
-        geometries = spec.build_soc().geometries
-        if batched_backend_pays_off(geometries):
-            pytest.skip("case-study mix shares shapes at this size")
-        assert plan_spec_backend(spec).backend == "auto"
+        geometries = [(g.words, g.bits) for g in spec.build_soc().geometries]
+        assert len(set(geometries)) == len(geometries)
+        assert plan_spec_backend(spec).backend == "batched"
+        assert FleetScheduler(spec, workers=1).spec.backend == "batched"
 
     def test_explicit_backend_is_untouched(self):
-        spec = FleetSpec(soc="case-study", memories=8, campaigns=2, backend="numpy")
+        spec = FleetSpec(
+            soc="case-study", memories=8, campaigns=2, backend="reference"
+        )
         assert plan_spec_backend(spec) is spec
 
     def test_scenario_spec_plans_too(self):

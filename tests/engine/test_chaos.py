@@ -41,7 +41,7 @@ CRASH_OR_RAISE = ChaosSpec(
 
 def _spec(backend: str, campaigns: int = 4) -> FleetSpec:
     # A uniform small geometry so the same population is schedulable on
-    # the reference, numpy and fleet-batched backends alike.
+    # the reference and batched backends alike.
     return FleetSpec(
         memories=2,
         campaigns=campaigns,
@@ -182,10 +182,6 @@ class TestChaosRunner:
 
 BACKENDS = [
     "reference",
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable"),
-    ),
     pytest.param(
         "batched",
         marks=pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable"),

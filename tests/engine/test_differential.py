@@ -1,9 +1,9 @@
-"""Seeded differential fuzz harness: reference vs numpy, both schemes.
+"""Seeded differential fuzz harness: reference vs batched, both schemes.
 
 Each fuzz case draws a random (geometry, fault population, march
 algorithm) triple from a seeded generator and asserts complete
-equivalence between the pure-Python reference path and the vectorized
-numpy path at three levels:
+equivalence between the pure-Python reference path and the batched
+vector path at three levels:
 
 * raw march runs (:mod:`repro.engine.backends`) -- failure records,
   cycle/time accounting, final memory state;
@@ -13,17 +13,17 @@ numpy path at three levels:
   iterate-repair) -- iteration count, localization records, missed
   faults, end state and clocking.
 
-A third axis runs the *fleet-batched* tier through the same matrix:
-banks drawn with deliberately duplicated geometries (so the geometry
-buckets actually stack), asserting ``reference == numpy == batched`` on
-fault maps, cycle accounting, end state, baseline iterate-repair output
-(k-counts and localization records) and scenario/fleet aggregates.
+A third axis runs the same matrix over banks drawn with deliberately
+duplicated geometries (so the geometry buckets actually stack),
+asserting ``reference == batched`` on fault maps, cycle accounting, end
+state, baseline iterate-repair output (k-counts and localization
+records) and scenario/fleet aggregates.
 
 A second suite layers *intermittent/soft-error* populations
 (:mod:`repro.faults.intermittent`) on top of the manufacturing faults:
 per-access upset draws come from each fault's private deterministic
 stream, and the vectorized paths replay fault-hooked words in exact
-reference order, so the numpy fast path must still match the pure-Python
+reference order, so the batched path must still match the pure-Python
 reference bit-exactly (there is no delegation for cell-level faults; the
 fast paths only delegate for whole-session features such as tracing or
 decoder faults, which these populations never draw).
@@ -200,7 +200,7 @@ class TestDifferentialFuzz:
             reference = ReferenceBackend().run(
                 reference_memory, algorithm(reference_memory.bits)
             )
-            fast = get_backend("numpy").run(fast_memory, algorithm(fast_memory.bits))
+            fast = get_backend("batched").run(fast_memory, algorithm(fast_memory.bits))
             assert fast.failures == reference.failures
             assert fast.cycles == reference.cycles
             assert fast.elapsed_ns == reference.elapsed_ns
@@ -215,7 +215,7 @@ class TestDifferentialFuzz:
         ).diagnose()
         fast = run_session(
             FastDiagnosisScheme(fast_bank, algorithm_factory=algorithm),
-            backend="numpy",
+            backend="batched",
         )
         assert fast.failures == reference.failures
         assert fast.cycles == reference.cycles
@@ -235,7 +235,7 @@ class TestDifferentialFuzz:
         fast = run_baseline_session(
             HuangJoneScheme(fast_bank),
             fast_injector,
-            backend="numpy",
+            backend="batched",
             bit_accurate=True,
         )
         assert fast.iterations == reference.iterations
@@ -267,7 +267,7 @@ class TestDifferentialFuzzIntermittent:
             reference = ReferenceBackend().run(
                 reference_memory, algorithm(reference_memory.bits)
             )
-            fast = get_backend("numpy").run(fast_memory, algorithm(fast_memory.bits))
+            fast = get_backend("batched").run(fast_memory, algorithm(fast_memory.bits))
             assert fast.failures == reference.failures
             assert fast.cycles == reference.cycles
         assert_states_equal(reference_bank, fast_bank)
@@ -283,7 +283,7 @@ class TestDifferentialFuzzIntermittent:
         ).diagnose()
         fast = run_session(
             FastDiagnosisScheme(fast_bank, algorithm_factory=algorithm),
-            backend="numpy",
+            backend="batched",
         )
         assert fast.failures == reference.failures
         assert fast.cycles == reference.cycles
@@ -302,7 +302,7 @@ class TestDifferentialFuzzIntermittent:
         fast = run_baseline_session(
             HuangJoneScheme(fast_bank),
             fast_injector,
-            backend="numpy",
+            backend="batched",
             bit_accurate=True,
         )
         assert fast.iterations == reference.iterations
@@ -316,12 +316,12 @@ class TestDifferentialFuzzIntermittent:
 
 @pytest.mark.parametrize("case_index", range(CASES))
 class TestDifferentialFuzzBatched:
-    """reference == numpy == batched over bucket-stacking banks.
+    """reference == batched over bucket-stacking banks.
 
     Banks repeat geometries so the batched tier's stacked sweeps cover
     multi-memory buckets (plus the occasional single-memory bucket); the
-    assertions are the full three-way report, fault-map and end-state
-    comparison, manufacturing-only and with the intermittent layer.
+    assertions are the full report, fault-map and end-state comparison,
+    manufacturing-only and with the intermittent layer.
     """
 
     @staticmethod
@@ -338,28 +338,22 @@ class TestDifferentialFuzzBatched:
     def test_proposed_session_three_way(self, case_index):
         geometries, defect_rate, algorithm, seed = draw_bucketed_case(case_index)
         layer = self.intermittent_layer(case_index)
-        banks = {
-            backend: build_bank(geometries, defect_rate, seed, layer)[0]
-            for backend in ("reference", "numpy", "batched")
-        }
+        reference_bank, _ = build_bank(geometries, defect_rate, seed, layer)
+        fast_bank, _ = build_bank(geometries, defect_rate, seed, layer)
         reference = FastDiagnosisScheme(
-            banks["reference"], algorithm_factory=algorithm
+            reference_bank, algorithm_factory=algorithm
         ).diagnose()
-        reports = {
-            backend: run_session(
-                FastDiagnosisScheme(banks[backend], algorithm_factory=algorithm),
-                backend=backend,
-            )
-            for backend in ("numpy", "batched")
-        }
-        for backend, fast in reports.items():
-            assert fast.failures == reference.failures, backend
-            assert fast.cycles == reference.cycles, backend
-            assert fast.pause_ns == reference.pause_ns, backend
-            assert fast.deliveries == reference.deliveries, backend
-            assert fast.nwrc_ops == reference.nwrc_ops, backend
-            assert fast.time_ns == reference.time_ns, backend
-            assert_states_equal(banks["reference"], banks[backend])
+        fast = run_session(
+            FastDiagnosisScheme(fast_bank, algorithm_factory=algorithm),
+            backend="batched",
+        )
+        assert fast.failures == reference.failures
+        assert fast.cycles == reference.cycles
+        assert fast.pause_ns == reference.pause_ns
+        assert fast.deliveries == reference.deliveries
+        assert fast.nwrc_ops == reference.nwrc_ops
+        assert fast.time_ns == reference.time_ns
+        assert_states_equal(reference_bank, fast_bank)
 
     def test_raw_march_backend(self, case_index):
         geometries, defect_rate, algorithm, seed = draw_bucketed_case(case_index)
@@ -432,7 +426,7 @@ def draw_dense_case(case_index: int):
 
 @pytest.mark.parametrize("case_index", range(CASES))
 class TestDifferentialFuzzDense:
-    """reference == numpy == batched in the dense-defect regimes.
+    """reference == batched in the dense-defect regimes.
 
     Dense populations push most words onto the compiled-table lane while
     the intermittent layer keeps a behavioural population interleaved on
@@ -450,26 +444,25 @@ class TestDifferentialFuzzDense:
             algorithm,
             seed,
         ) = draw_dense_case(case_index)
-        banks = {
-            backend: build_bank(
-                geometries, defect_rate, seed, intermittent, dynamic_rate
-            )[0]
-            for backend in ("reference", "numpy", "batched")
-        }
+        reference_bank, _ = build_bank(
+            geometries, defect_rate, seed, intermittent, dynamic_rate
+        )
+        fast_bank, _ = build_bank(
+            geometries, defect_rate, seed, intermittent, dynamic_rate
+        )
         reference = FastDiagnosisScheme(
-            banks["reference"], algorithm_factory=algorithm
+            reference_bank, algorithm_factory=algorithm
         ).diagnose()
-        for backend in ("numpy", "batched"):
-            fast = run_session(
-                FastDiagnosisScheme(banks[backend], algorithm_factory=algorithm),
-                backend=backend,
-            )
-            assert fast.failures == reference.failures, backend
-            assert fast.cycles == reference.cycles, backend
-            assert fast.deliveries == reference.deliveries, backend
-            assert fast.nwrc_ops == reference.nwrc_ops, backend
-            assert fast.time_ns == reference.time_ns, backend
-            assert_states_equal(banks["reference"], banks[backend])
+        fast = run_session(
+            FastDiagnosisScheme(fast_bank, algorithm_factory=algorithm),
+            backend="batched",
+        )
+        assert fast.failures == reference.failures
+        assert fast.cycles == reference.cycles
+        assert fast.deliveries == reference.deliveries
+        assert fast.nwrc_ops == reference.nwrc_ops
+        assert fast.time_ns == reference.time_ns
+        assert_states_equal(reference_bank, fast_bank)
 
     def test_dense_manufacturing_only(self, case_index):
         geometries, defect_rate, dynamic_rate, _, algorithm, seed = draw_dense_case(
@@ -494,7 +487,7 @@ class TestDifferentialFuzzDense:
 
 
 class TestAggregateParity:
-    """Fleet and scenario aggregates agree across all three backends."""
+    """Fleet and scenario aggregates agree between both backends."""
 
     @staticmethod
     def comparable(report):
@@ -504,7 +497,7 @@ class TestAggregateParity:
         from repro.engine.fleet import FleetSpec, run_fleet
 
         reports = {}
-        for backend in ("reference", "numpy", "batched"):
+        for backend in ("reference", "batched"):
             spec = FleetSpec(
                 soc="case-study",
                 memories=4,
@@ -514,7 +507,6 @@ class TestAggregateParity:
                 backend=backend,
             )
             reports[backend] = self.comparable(run_fleet(spec, workers=1))
-        assert reports["numpy"] == reports["reference"]
         assert reports["batched"] == reports["reference"]
 
     def test_scenario_report_parity(self):
@@ -528,7 +520,7 @@ class TestAggregateParity:
             (12, 6, "s3"),
         )
         reports = {}
-        for backend in ("reference", "numpy", "batched"):
+        for backend in ("reference", "batched"):
             spec = ScenarioSpec(
                 campaigns=2,
                 shapes=shapes,
@@ -543,13 +535,12 @@ class TestAggregateParity:
             reports[backend] = self.comparable(
                 run_scenario_fleet(spec, workers=1)
             )
-        assert reports["numpy"] == reports["reference"]
         assert reports["batched"] == reports["reference"]
 
 
 @pytest.mark.parametrize("case_index", range(CASES))
 class TestDifferentialFuzzSecDed:
-    """reference == numpy == batched behind the SEC-DED observation layer.
+    """reference == batched behind the SEC-DED observation layer.
 
     ECC sessions must agree on the *post-correction* failure sets and on
     every decoder counter: the layer is a pure function of the
@@ -572,26 +563,23 @@ class TestDifferentialFuzzSecDed:
         from repro.ecc import EccConfig
 
         geometries, defect_rate, algorithm, seed = self.draw(case_index)
-        banks = {
-            backend: build_bank(geometries, defect_rate, seed)[0]
-            for backend in ("reference", "numpy", "batched")
-        }
+        reference_bank, _ = build_bank(geometries, defect_rate, seed)
+        fast_bank, _ = build_bank(geometries, defect_rate, seed)
         reference = FastDiagnosisScheme(
-            banks["reference"], algorithm_factory=algorithm, ecc=EccConfig()
+            reference_bank, algorithm_factory=algorithm, ecc=EccConfig()
         ).diagnose()
         assert reference.ecc is not None
-        for backend in ("numpy", "batched"):
-            fast = run_session(
-                FastDiagnosisScheme(
-                    banks[backend], algorithm_factory=algorithm, ecc=EccConfig()
-                ),
-                backend=backend,
-            )
-            assert fast.failures == reference.failures, backend
-            assert fast.ecc == reference.ecc, backend
-            assert fast.cycles == reference.cycles, backend
-            assert fast.time_ns == reference.time_ns, backend
-            assert_states_equal(banks["reference"], banks[backend])
+        fast = run_session(
+            FastDiagnosisScheme(
+                fast_bank, algorithm_factory=algorithm, ecc=EccConfig()
+            ),
+            backend="batched",
+        )
+        assert fast.failures == reference.failures
+        assert fast.ecc == reference.ecc
+        assert fast.cycles == reference.cycles
+        assert fast.time_ns == reference.time_ns
+        assert_states_equal(reference_bank, fast_bank)
 
     def test_ecc_masks_single_bit_words(self, case_index):
         """Against the same bank, an ECC session never fails a word whose
@@ -605,13 +593,13 @@ class TestDifferentialFuzzSecDed:
         ecc_bank, _ = build_bank(geometries, defect_rate, seed)
         raw = run_session(
             FastDiagnosisScheme(raw_bank, algorithm_factory=algorithm),
-            backend="numpy",
+            backend="batched",
         )
         ecc = run_session(
             FastDiagnosisScheme(
                 ecc_bank, algorithm_factory=algorithm, ecc=EccConfig()
             ),
-            backend="numpy",
+            backend="batched",
         )
         assert ecc.total_failures <= raw.total_failures
         masked = sum(s.masked_reads for s in ecc.ecc.values())

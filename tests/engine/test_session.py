@@ -56,16 +56,15 @@ class TestSessionEquivalence:
         reference_bank = build_bank(seed)
         fast_bank = build_bank(seed)
         reference = FastDiagnosisScheme(reference_bank).diagnose()
-        fast = run_session(FastDiagnosisScheme(fast_bank), backend="numpy")
+        fast = run_session(FastDiagnosisScheme(fast_bank), backend="batched")
         assert_sessions_equal(reference, fast, reference_bank, fast_bank)
 
-    @pytest.mark.parametrize("backend", ["numpy", "batched"])
+    @pytest.mark.parametrize("backend", ["reference", "batched"])
     def test_lsb_first_coverage_loss_scenario(self, backend):
         # The flawed LSB-first delivery makes fault-free narrow memories
-        # mis-compare; the vector compare paths must reproduce every
-        # record -- including the batched tier, whose clean-word tracker
-        # may only skip compares whose expectation matches the delivered
-        # (not the correct) pattern.
+        # mis-compare; every session path must reproduce every record --
+        # the batched clean-word tracker may only skip compares whose
+        # expectation matches the delivered (not the correct) pattern.
         reference_bank = build_bank(1)
         fast_bank = build_bank(1)
         reference = FastDiagnosisScheme(reference_bank, msb_first=False).diagnose()
@@ -82,7 +81,7 @@ class TestSessionEquivalence:
 
         reference_bank, fast_bank = build(), build()
         reference = FastDiagnosisScheme(reference_bank).diagnose()
-        fast = run_session(FastDiagnosisScheme(fast_bank), backend="numpy")
+        fast = run_session(FastDiagnosisScheme(fast_bank), backend="batched")
         assert_sessions_equal(reference, fast, reference_bank, fast_bank)
 
     def test_reference_backend_delegates_to_diagnose(self):
@@ -95,7 +94,7 @@ class TestSessionEquivalence:
         reference_scheme = FastDiagnosisScheme(build_bank(7))
         fast_scheme = FastDiagnosisScheme(build_bank(7))
         reference_scheme.diagnose()
-        run_session(fast_scheme, backend="numpy")
+        run_session(fast_scheme, backend="batched")
         assert (
             fast_scheme.trigger.triggers_issued
             == reference_scheme.trigger.triggers_issued
@@ -111,7 +110,7 @@ class TestSessionEquivalence:
         with pytest.raises(ValueError, match="NWRTM"):
             fresh().diagnose()
         with pytest.raises(ValueError, match="NWRTM"):
-            run_session(fresh(), backend="numpy")
+            run_session(fresh(), backend="batched")
 
     def test_custom_backend_rejected_explicitly(self):
         from repro.engine.backends import MarchBackend
@@ -129,8 +128,8 @@ class TestSessionEquivalence:
         fast_scheme = FastDiagnosisScheme(build_bank(4))
         reference_scheme.diagnose()
         second_reference = reference_scheme.diagnose()
-        run_session(fast_scheme, backend="numpy")
-        second_fast = run_session(fast_scheme, backend="numpy")
+        run_session(fast_scheme, backend="batched")
+        second_fast = run_session(fast_scheme, backend="batched")
         assert second_fast.deliveries == second_reference.deliveries
         assert second_fast.nwrc_ops == second_reference.nwrc_ops
         assert second_fast.failures == second_reference.failures
@@ -144,7 +143,7 @@ class TestCampaignBackendParity:
             soc, defect_rate=0.004, seed=seed, backend="reference"
         ).run()
         fast = DiagnosisCampaign(
-            soc, defect_rate=0.004, seed=seed, backend="numpy"
+            soc, defect_rate=0.004, seed=seed, backend="batched"
         ).run()
         assert fast.proposed.failures == reference.proposed.failures
         assert fast.localization_rate == reference.localization_rate
@@ -162,13 +161,13 @@ class TestCampaignBackendParity:
 
     def test_single_localized_fault_repairs_cleanly(self):
         soc = case_study_soc(memories=2)
-        campaign = DiagnosisCampaign(soc, defect_rate=0.0, seed=0, backend="numpy")
+        campaign = DiagnosisCampaign(soc, defect_rate=0.0, seed=0, backend="batched")
         bank, injector = campaign._faulty_bank()
         assert injector.total == 0
 
         # End-to-end with one hand-placed fault through the public path.
         scheme = FastDiagnosisScheme(bank)
         StuckAtFault(CellRef(7, 3), value=1).attach(bank[0])
-        report = run_session(scheme, backend="numpy")
+        report = run_session(scheme, backend="batched")
         assert report.failing_memories() == [bank[0].name]
         assert CellRef(7, 3) in report.detected_cells(bank[0].name)

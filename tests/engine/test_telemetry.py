@@ -29,7 +29,7 @@ SPEC = FleetSpec(
     backend="auto",
 )
 
-BACKENDS = ["reference"] + (["numpy", "batched"] if HAVE_NUMPY else [])
+BACKENDS = ["reference"] + (["batched"] if HAVE_NUMPY else [])
 
 
 @pytest.fixture(autouse=True)
@@ -73,9 +73,11 @@ class TestTelemetryContent:
     def test_lane_and_fleet_counters_populated(self):
         report = run_fleet(SPEC, workers=1, telemetry=True)
         counters = report.telemetry.counters
-        # 2-memory heterogeneous case-study resolves auto -> numpy: the
-        # replay and clean lanes run, the table lane stays at zero.
-        assert counters.get("lane.replay.ns") > 0
+        # 2-memory heterogeneous case-study resolves auto -> batched: its
+        # sampled faults all lower, so the table and clean lanes carry
+        # every word.
+        assert counters.get("lane.table.ns") > 0
+        assert counters.get("lane.table.words") > 0
         assert counters.get("lane.clean.ns") > 0
         assert counters.get("fleet.chunks") >= 1
         assert counters.get("fleet.workers") == 1

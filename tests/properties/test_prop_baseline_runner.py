@@ -155,7 +155,7 @@ class TestEarlyAbortInvariance:
             return run_baseline_session(
                 HuangJoneScheme(MemoryBank([memory])),
                 injector,
-                backend="numpy",
+                backend="batched",
                 bit_accurate=True,
                 early_abort=early_abort,
             )

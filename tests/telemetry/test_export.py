@@ -97,6 +97,7 @@ class TestFleetStats:
             {
                 "fleet.workers": 2,
                 "fleet.elapsed.ns": 1_000_000_000,
+                "fleet.worker_capacity.ns": 2_000_000_000,
                 "fleet.worker_busy.ns": 5_000_000_000,
                 "fleet.chunks": 4,
             }

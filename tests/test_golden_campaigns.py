@@ -39,21 +39,21 @@ def small_soc() -> SoCConfig:
     )
 
 
-#: The three canonical campaigns.  Fixed seeds + the numpy backend keep
+#: The three canonical campaigns.  Fixed seeds + the batched backend keep
 #: every field deterministic; the backend choice itself is covered by the
 #: differential suite, so goldens pin *behaviour*, not backend parity.
 CAMPAIGNS: dict[str, dict] = {
     "buffer_cluster": dict(
         soc=SoCConfig.buffer_cluster, defect_rate=0.008, seed=11,
-        backend="numpy", baseline_bit_accurate=False,
+        backend="batched", baseline_bit_accurate=False,
     ),
     "case_study_hetero": dict(
         soc=lambda: case_study_soc(memories=3), defect_rate=0.004, seed=1,
-        backend="numpy", baseline_bit_accurate=False,
+        backend="batched", baseline_bit_accurate=False,
     ),
     "small_bit_accurate": dict(
         soc=small_soc, defect_rate=0.05, seed=5,
-        backend="numpy", baseline_bit_accurate=True,
+        backend="batched", baseline_bit_accurate=True,
     ),
 }
 

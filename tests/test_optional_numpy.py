@@ -64,12 +64,12 @@ def test_auto_backend_degrades_to_reference_without_numpy():
         "from repro.engine import get_backend, available_backends\n"
         "backend = get_backend('auto')\n"
         "print(type(backend).__name__)\n"
-        "print(available_backends()['numpy'])\n"
+        "print(available_backends()['batched'])\n"
     )
     assert result.returncode == 0, result.stderr
-    name, numpy_available = result.stdout.split()
+    name, batched_available = result.stdout.split()
     assert name == "ReferenceBackend"
-    assert numpy_available == "False"
+    assert batched_available == "False"
 
 
 def test_explicit_numpy_backend_raises_without_numpy():
@@ -77,7 +77,7 @@ def test_explicit_numpy_backend_raises_without_numpy():
     result = run_without_numpy(
         "from repro.engine import get_backend\n"
         "try:\n"
-        "    get_backend('numpy')\n"
+        "    get_backend('batched')\n"
         "except RuntimeError as error:\n"
         "    print('[fast]' in str(error))\n"
     )

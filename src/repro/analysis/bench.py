@@ -262,7 +262,12 @@ def run_suites(
     """
     if telemetry and collector is None:
         collector = TelemetryReport()
-    payload: dict = {"quick": quick, "suites": {}}
+    payload: dict = {
+        "quick": quick,
+        "git_rev": _git_revision_or_none(),
+        "cpu_count": os.cpu_count(),
+        "suites": {},
+    }
     failures: list[str] = []
     for suite in suites:
         if suite == "batched-fleet":
@@ -318,6 +323,13 @@ def git_revision(repo_root: "str | os.PathLike | None" = None) -> str | None:
     return result.stdout.strip() or None
 
 
+def _git_revision_or_none() -> str | None:
+    try:
+        return git_revision()
+    except Exception:  # pragma: no cover - belt and braces
+        return None
+
+
 def trajectory_entry(payload: dict, timestamp: str) -> dict:
     """Reduce one ``run_suites`` payload to a trajectory record.
 
@@ -326,19 +338,16 @@ def trajectory_entry(payload: dict, timestamp: str) -> dict:
     the per-regime speedups over the reference oracle (entries written
     before the numpy path was folded into the batched one have no
     ``speedup_over`` key and hold batched-vs-numpy ratios) and, when the
-    run was telemetry-instrumented,
-    the heavy-diagnostic replay-lane time share (the number the compiled
-    kernel roadmap item is tracked by).  Outside a git checkout (or with
-    a broken ``git``) the record degrades to ``git_rev: null`` rather
-    than failing the bench run.
+    run was telemetry-instrumented, the heavy-diagnostic replay-lane time
+    share (the number the compiled kernel roadmap item is tracked by),
+    plus the payload's core count.  Outside a git checkout (or with a
+    broken ``git``) the record degrades to ``git_rev: null`` rather than
+    failing the bench run.
     """
-    try:
-        rev = git_revision()
-    except Exception:  # pragma: no cover - belt and braces
-        rev = None
     entry: dict = {
         "timestamp": timestamp,
-        "git_rev": rev,
+        "git_rev": _git_revision_or_none(),
+        "cpu_count": payload.get("cpu_count"),
         "quick": bool(payload.get("quick")),
         "speedup_over": "reference",
         "regimes": {},

@@ -144,9 +144,6 @@ class DiagnosisCampaign:
             injector.inject(memory, sampler(index, memory))
         return bank, injector
 
-    # Backwards-compatible private alias (pre-scenario API).
-    _faulty_bank = faulty_bank
-
     def run(
         self,
         include_baseline: bool = True,

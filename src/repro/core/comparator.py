@@ -12,11 +12,15 @@ and switches expectation accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.march.element import MarchElement
 from repro.march.simulator import FailureRecord
 from repro.util.bitops import mask
 from repro.util.validation import require
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.report import FailureLog
 
 
 @dataclass
@@ -25,7 +29,9 @@ class ComparatorArray:
 
     memory_name: str
     memory_bits: int
-    failures: list[FailureRecord] = field(default_factory=list)
+    #: Records of the reference loop; a fast session stores the memory's
+    #: :class:`~repro.core.report.FailureLog` here instead.
+    failures: "list[FailureRecord] | FailureLog" = field(default_factory=list)
     comparisons: int = 0
 
     def expected_word(
@@ -100,5 +106,5 @@ class ComparatorArray:
 
     def reset(self) -> None:
         """Clear recorded failures (new diagnosis session)."""
-        self.failures.clear()
+        self.failures = []
         self.comparisons = 0

@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.redundancy import RedundancyBudget, allocate_redundancy
-from repro.core.report import ProposedReport
+from repro.core.report import ProposedReport, in_sorted
 from repro.memory.bank import MemoryBank
 from repro.memory.geometry import CellRef
 from repro.memory.spare import SpareBank
 from repro.util.records import Record
+from repro.util.rng import np
 from repro.util.validation import require
 
 
@@ -61,11 +62,12 @@ class RepairController:
         """
         result = RepairResult()
         for memory in self.bank:
-            failing = {f.address for f in report.failures.get(memory.name, [])}
+            log = report.failures.get(memory.name)
+            failing = log.addresses().tolist() if log else []
             spare_bank = self.spares[memory.name]
             repaired: set[int] = set()
             exhausted: set[int] = set()
-            for address in sorted(failing):
+            for address in failing:
                 if spare_bank.allocate(address):
                     repaired.add(address)
                 else:
@@ -171,13 +173,22 @@ class BisrController:
             name = memory.name
             result.new_rows[name] = set()
             result.new_cols[name] = set()
-            residual = {
-                cell
-                for cell in report.detected_cells(name)
-                if not self.covered(name, cell)
-            }
-            if not residual:
+            log = report.failures.get(name)
+            if not log:
                 continue
+            words, bits = log.failing_cells()
+            uncovered = ~(
+                in_sorted(words, np.array(sorted(self.rows[name]), dtype=np.int64))
+                | in_sorted(bits, np.array(sorted(self.cols[name]), dtype=np.int64))
+            )
+            if not uncovered.any():
+                continue
+            residual = {
+                CellRef(word, bit)
+                for word, bit in zip(
+                    words[uncovered].tolist(), bits[uncovered].tolist()
+                )
+            }
             self.needing.add(name)
             remaining_budget = RedundancyBudget(
                 self.budget.spare_rows - len(self.rows[name]),

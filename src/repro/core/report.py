@@ -4,18 +4,312 @@ A report collects every failure the comparator array registered, exposes
 the localized cells, and -- given the ground-truth injector -- scores
 detection and localization per fault, which is what the evaluation
 experiments (E5, E6) consume.
+
+Each memory's failing reads live in a :class:`FailureLog`: columns of
+step index, op index, row and the expected and observed words as
+``(n, lanes)`` uint64 arrays, plus one :class:`StepLabels` entry per march
+element for the fields every read of that element shares.  The batched
+engine emits those columns straight from its vector lanes; the reference
+backend wraps its comparator records with :meth:`FailureLog.from_records`.
+Scoring, localization and repair input are numpy operations over the
+columns, and :class:`~repro.march.simulator.FailureRecord` objects are
+built only when a log is iterated, indexed, compared or printed -- so
+record-level consumers (the diagnosis dictionary, scan-out, backend
+equality checks) see exactly the reference's records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.ecc.observer import EccMemorySummary
 from repro.faults.injector import FaultInjector
 from repro.march.simulator import FailureRecord
 from repro.memory.geometry import CellRef
+from repro.telemetry.core import tracer as _tracer
 from repro.util.records import Record
+from repro.util.rng import np, require_numpy
 from repro.util.units import format_duration_ns
+
+_LANE_MASK = (1 << 64) - 1
+
+
+@dataclass(frozen=True)
+class StepLabels:
+    """Record fields shared by every failing read of one march element."""
+
+    label: str
+    #: Background stored in the element's failure records.
+    background: int
+    #: Operation notation by op index.
+    operations: tuple[str | None, ...]
+
+
+class FailureColumns(NamedTuple):
+    """Parallel per-read columns of a :class:`FailureLog`."""
+
+    step: "np.ndarray"
+    op: "np.ndarray"
+    row: "np.ndarray"
+    #: ``(n, lanes)`` uint64: lane ``i`` holds word bits ``64i .. 64i+63``.
+    expected: "np.ndarray"
+    observed: "np.ndarray"
+
+
+class FailureLog:
+    """The failing reads of one memory, in reference order, as columns.
+
+    Built either from engine columns (``steps`` maps each step index of
+    the ``step`` column to its :class:`StepLabels`) or from reference
+    records (:meth:`from_records`, which keeps the records and builds the
+    columns on first use).  Within one log a step index determines the
+    label, background and per-op notation, as every producer guarantees.
+    Cell keys are ``row * bits + bit``.
+    """
+
+    __slots__ = ("memory_name", "bits", "steps", "_columns", "_records", "_keys")
+
+    def __init__(
+        self,
+        memory_name: str,
+        bits: int,
+        steps: dict[int, StepLabels],
+        columns: FailureColumns | None,
+        records: list[FailureRecord] | None = None,
+    ) -> None:
+        self.memory_name = memory_name
+        self.bits = bits
+        self.steps = steps
+        self._columns = columns
+        self._records = records
+        self._keys = None
+
+    @classmethod
+    def from_records(
+        cls, memory_name: str, bits: int, records: Iterable[FailureRecord]
+    ) -> "FailureLog":
+        """Wrap reference records; columns are derived on first use."""
+        return cls(memory_name, bits, {}, None, list(records))
+
+    # ------------------------------------------------------------------ #
+    # Record view                                                        #
+    # ------------------------------------------------------------------ #
+    def records(self) -> list[FailureRecord]:
+        """The failing reads as records (built once, then cached)."""
+        if self._records is None:
+            columns = self._columns
+            steps = self.steps
+            name = self.memory_name
+            self._records = [
+                FailureRecord(
+                    name,
+                    step,
+                    steps[step].label,
+                    op,
+                    steps[step].operations[op],
+                    row,
+                    steps[step].background,
+                    expected,
+                    observed,
+                )
+                for step, op, row, expected, observed in zip(
+                    columns.step.tolist(),
+                    columns.op.tolist(),
+                    columns.row.tolist(),
+                    unpack_words(columns.expected),
+                    unpack_words(columns.observed),
+                )
+            ]
+        return self._records
+
+    def __len__(self) -> int:
+        if self._records is not None:
+            return len(self._records)
+        return len(self._columns.row)
+
+    def __bool__(self) -> bool:
+        return len(self) > 0
+
+    def __iter__(self):
+        return iter(self.records())
+
+    def __getitem__(self, index):
+        return self.records()[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FailureLog):
+            return len(self) == len(other) and self.records() == other.records()
+        if isinstance(other, list):
+            return self.records() == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(self.records())
+
+    # ------------------------------------------------------------------ #
+    # Column view                                                        #
+    # ------------------------------------------------------------------ #
+    @property
+    def columns(self) -> FailureColumns:
+        """The per-read columns (derived from the records on first use)."""
+        if self._columns is None:
+            require_numpy("failure-log scoring")
+            records = self._records
+            lanes = max(1, -(-self.bits // 64))
+            self._columns = FailureColumns(
+                np.array([r.step_index for r in records], dtype=np.int64),
+                np.array([r.op_index for r in records], dtype=np.int64),
+                np.array([r.address for r in records], dtype=np.int64),
+                _pack([r.expected for r in records], lanes),
+                _pack([r.observed for r in records], lanes),
+            )
+            shared: dict[int, tuple[str, int, dict[int, str]]] = {}
+            for record in records:
+                entry = shared.setdefault(
+                    record.step_index, (record.step_label, record.background, {})
+                )
+                entry[2][record.op_index] = record.operation
+            self.steps = {
+                step: StepLabels(
+                    label, background, tuple(map(ops.get, range(max(ops) + 1)))
+                )
+                for step, (label, background, ops) in shared.items()
+            }
+        return self._columns
+
+    def _failing_bits(self):
+        """``(read, bit)`` index pairs of every mismatching bit, read-major.
+
+        Peels the lowest set bit off every nonzero syndrome lane per pass
+        (its index is the float exponent of the isolated power of two),
+        so the passes are as many as the widest lane syndrome has bits.
+        """
+        columns = self.columns
+        syndrome = columns.expected ^ columns.observed
+        reads, lanes = np.nonzero(syndrome)
+        words = syndrome[reads, lanes]
+        all_reads, all_bits = [], []
+        while words.size:
+            lowest = words & (~words + np.uint64(1))
+            all_reads.append(reads)
+            all_bits.append(lanes * 64 + np.frexp(lowest.astype(np.float64))[1] - 1)
+            words ^= lowest
+            left = words != 0
+            reads, lanes, words = reads[left], lanes[left], words[left]
+        if len(all_reads) < 2:
+            return (all_reads[0], all_bits[0]) if all_reads else (reads, lanes)
+        reads = np.concatenate(all_reads)
+        bits = np.concatenate(all_bits)
+        order = np.lexsort((bits, reads))
+        return reads[order], bits[order]
+
+    def cell_keys(self) -> "np.ndarray":
+        """Sorted distinct keys of every cell a failing read implicated."""
+        if self._keys is None:
+            require_numpy("failure-log scoring")
+            if not self:
+                self._keys = np.zeros(0, dtype=np.int64)
+            else:
+                reads, bits = self._failing_bits()
+                self._keys = sorted_unique(self.columns.row[reads] * self.bits + bits)
+        return self._keys
+
+    def failing_cells(self) -> tuple["np.ndarray", "np.ndarray"]:
+        """``(words, bits)`` of the distinct implicated cells, sorted."""
+        keys = self.cell_keys()
+        return keys // self.bits, keys % self.bits
+
+    def addresses(self) -> "np.ndarray":
+        """Sorted distinct addresses with at least one failing read."""
+        return sorted_unique(self.columns.row)
+
+    def cell_evidence(self):
+        """Per distinct cell: ``(keys, failing-read counts, first step)``.
+
+        ``first step`` is the step index of the earliest read that
+        implicated the cell; keys are sorted.
+        """
+        reads, bits = self._failing_bits()
+        keys = self.columns.row[reads] * self.bits + bits
+        if not len(keys):
+            return keys, keys, keys
+        # A stable sort keeps each key's earliest read first in its run.
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
+        counts = np.diff(starts, append=len(keys))
+        return keys[starts], counts, self.columns.step[reads[order[starts]]]
+
+    def detects(self, victim_groups: Sequence[Sequence[CellRef]]) -> "np.ndarray":
+        """Per group: whether any of its cells was implicated."""
+        return groups_hit(self.cell_keys(), self.bits, victim_groups)
+
+
+def _score_span():
+    """The ``core.report.score`` telemetry span (a no-op when disabled)."""
+    return _tracer().span("core.report.score", "score")
+
+
+def groups_hit(keys, bits: int, groups: Sequence[Sequence[CellRef]]) -> "np.ndarray":
+    """Per group of cells: whether any cell's key is in sorted ``keys``."""
+    flat: list[int] = []
+    owner: list[int] = []
+    for index, cells in enumerate(groups):
+        for cell in cells:
+            flat.append(cell.word * bits + cell.bit)
+            owner.append(index)
+    hit = np.zeros(len(groups), dtype=bool)
+    if flat:
+        found = in_sorted(np.array(flat, dtype=np.int64), keys)
+        hit[np.array(owner, dtype=np.int64)[found]] = True
+    return hit
+
+
+# ``np.unique``/``np.isin``/``np.union1d`` import ``numpy.ma`` on first use
+# (tens of milliseconds and a few MB in every fresh worker), so the set
+# operations the scoring path needs are spelled with sort/searchsorted.
+def sorted_unique(values) -> "np.ndarray":
+    """The distinct values of an integer array, sorted."""
+    values = np.sort(values)
+    if len(values) < 2:
+        return values
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def in_sorted(values, keys) -> "np.ndarray":
+    """Per value: whether it occurs in the sorted array ``keys``."""
+    if not len(keys):
+        return np.zeros(len(values), dtype=bool)
+    index = np.searchsorted(keys, values)
+    index[index == len(keys)] = 0
+    return keys[index] == values
+
+
+def _pack(values: list[int], lanes: int) -> "np.ndarray":
+    """Python-int words to an ``(n, lanes)`` uint64 array."""
+    packed = np.empty((len(values), lanes), dtype=np.uint64)
+    for lane in range(lanes):
+        shift = 64 * lane
+        packed[:, lane] = [(value >> shift) & _LANE_MASK for value in values]
+    return packed
+
+
+def unpack_words(lanes) -> list[int]:
+    """Reassemble an ``(n, lanes)`` uint64 array into Python-int words.
+
+    One C-level ``tolist`` per lane instead of one array slice per row.
+    """
+    values = lanes[:, 0].tolist()
+    for lane in range(1, lanes.shape[1]):
+        shift = 64 * lane
+        values = [
+            value | (high << shift)
+            for value, high in zip(values, lanes[:, lane].tolist())
+        ]
+    return values
 
 
 @dataclass(frozen=True)
@@ -39,7 +333,7 @@ class ProposedReport(Record):
     period_ns: float
     cycles: int = 0
     pause_ns: float = 0.0
-    failures: dict[str, list[FailureRecord]] = field(default_factory=dict)
+    failures: dict[str, FailureLog] = field(default_factory=dict)
     deliveries: int = 0
     nwrc_ops: int = 0
     #: True when a go/no-go session stopped before running every element.
@@ -92,10 +386,11 @@ class ProposedReport(Record):
 
     def detected_cells(self, memory_name: str) -> set[CellRef]:
         """Cells implicated by failures in one memory."""
-        cells: set[CellRef] = set()
-        for failure in self.failures.get(memory_name, []):
-            cells.update(failure.failing_cells())
-        return cells
+        log = self.failures.get(memory_name)
+        if not log:
+            return set()
+        words, bits = log.failing_cells()
+        return {CellRef(word, bit) for word, bit in zip(words.tolist(), bits.tolist())}
 
     def failing_memories(self) -> list[str]:
         """Names of memories with at least one failure."""
@@ -110,30 +405,45 @@ class ProposedReport(Record):
         (address, bit) coordinates, so detection and localization coincide
         (unlike the serial baselines).
         """
-        scores = []
-        for name in injector.memories():
-            reported = self.detected_cells(name)
-            for fault in injector.faults_for(name):
-                hit = bool(reported & set(fault.victims))
-                scores.append(
-                    FaultScore(
-                        memory_name=name,
-                        description=fault.describe(),
-                        fault_class=fault.fault_class.value,
-                        detected=hit,
-                        localized=hit,
-                    )
+        with _score_span():
+            return [
+                FaultScore(
+                    memory_name=name,
+                    description=fault.describe(),
+                    fault_class=fault.fault_class.value,
+                    detected=hit,
+                    localized=hit,
                 )
-        return scores
+                for name, faults, hits in self._fault_hits(injector)
+                for fault, hit in zip(faults, hits)
+            ]
+
+    def _fault_hits(self, injector: FaultInjector):
+        """Per memory: ``(name, faults, per-fault victim-hit flags)``."""
+        for name in injector.memories():
+            faults = injector.faults_for(name)
+            log = self.failures.get(name)
+            if log:
+                hits = log.detects([fault.victims for fault in faults]).tolist()
+            else:
+                hits = [False] * len(faults)
+            yield name, faults, hits
 
     def localization_rate(self, injector: FaultInjector, fault_filter=None) -> float:
         """Fraction of injected faults whose victims were localized."""
-        scores = self.score_against(injector)
         if fault_filter is not None:
-            scores = [s for s in scores if fault_filter(s)]
-        if not scores:
+            scores = [s for s in self.score_against(injector) if fault_filter(s)]
+            localized = sum(1 for s in scores if s.localized)
+            total = len(scores)
+        else:
+            with _score_span():
+                localized = total = 0
+                for _, faults, hits in self._fault_hits(injector):
+                    localized += sum(hits)
+                    total += len(faults)
+        if not total:
             return 1.0
-        return sum(1 for s in scores if s.localized) / len(scores)
+        return localized / total
 
     def localized_cells(self, memory_name: str) -> list["LocalizedCell"]:
         """Per-cell localization evidence, strongest first.
@@ -143,20 +453,26 @@ class ProposedReport(Record):
         element that exposed it -- the per-cell view repair and off-line
         analysis consume.
         """
-        evidence: dict[CellRef, list[FailureRecord]] = {}
-        for failure in self.failures.get(memory_name, []):
-            for cell in failure.failing_cells():
-                evidence.setdefault(cell, []).append(failure)
-        cells = [
+        log = self.failures.get(memory_name)
+        if not log:
+            return []
+        keys, counts, first_steps = log.cell_evidence()
+        # Strongest first; keys order cells by (word, bit) within a count.
+        order = np.lexsort((keys, -counts))
+        steps = log.steps
+        return [
             LocalizedCell(
                 memory_name=memory_name,
-                cell=cell,
-                failing_reads=len(records),
-                first_step=records[0].step_label,
+                cell=CellRef(key // log.bits, key % log.bits),
+                failing_reads=count,
+                first_step=steps[step].label,
             )
-            for cell, records in evidence.items()
+            for key, count, step in zip(
+                keys[order].tolist(),
+                counts[order].tolist(),
+                first_steps[order].tolist(),
+            )
         ]
-        return sorted(cells, key=lambda c: (-c.failing_reads, c.cell))
 
     def summary_lines(self) -> list[str]:
         """Human-readable session summary for examples and logs."""

@@ -26,7 +26,7 @@ from repro.core.comparator import ComparatorArray
 from repro.core.control_gen import ControlGenerator
 from repro.core.nwrtm import NwrtmController
 from repro.core.psc import ParallelToSerialConverter
-from repro.core.report import ProposedReport
+from repro.core.report import FailureLog, ProposedReport
 from repro.core.spc import SerialToParallelConverter
 from repro.ecc.code import secded_code
 from repro.ecc.observer import EccConfig, EccMemorySummary, EccObserver
@@ -154,7 +154,6 @@ class FastDiagnosisScheme:
             controller_words=self.controller_words,
             controller_bits=self.controller_bits,
             period_ns=self.period_ns,
-            failures={m.name: [] for m in self.bank},
         )
 
         for step_index, step in enumerate(algorithm.steps):
@@ -171,8 +170,8 @@ class FastDiagnosisScheme:
                 break
 
         for memory in self.bank:
-            report.failures[memory.name] = list(
-                self.comparators[memory.name].failures
+            report.failures[memory.name] = FailureLog.from_records(
+                memory.name, memory.bits, self.comparators[memory.name].failures
             )
         report.nwrc_ops = self.nwrtm.nwrc_ops
         report.deliveries = self.background_gen.deliveries

@@ -139,6 +139,26 @@ class BucketEcc:
             )
         return ~outcome.masked, bits
 
+    def correct_rows(self, members, addresses, observed, expected_lanes):
+        """Decode stacked mismatching reads and apply the corrections.
+
+        ``observed`` is the ``(n, lanes)`` pre-decode words of the rows
+        :meth:`decode_rows` describes, read against ``expected_lanes``.
+        Returns ``(kept, words)``: the indices of the reads that still
+        mismatch after correction and their post-correction words.
+        """
+        keep, corrected = self.decode_rows(
+            members, addresses, observed ^ expected_lanes
+        )
+        kept = np.flatnonzero(keep)
+        words = observed[kept]
+        bits = corrected[kept]
+        fixed = np.flatnonzero(bits >= 0)
+        if fixed.size:
+            bits = bits[fixed]
+            words[fixed, bits >> 6] ^= np.uint64(1) << (bits & 63).astype(np.uint64)
+        return kept, words
+
 
 _VECTOR_CODES: dict[int, VectorSecDed] = {}
 

@@ -38,7 +38,18 @@ diagnosis sessions (:func:`run_batched_session`, dispatched from
 bucket; a raw :meth:`BatchedBackend.run` march is a bucket of one.  The
 result is bit-exact against the reference (validated by the differential
 fuzz matrix) while the Python overhead amortizes over the bucket
-population.  The baseline's iterate-repair sparse serial replay
+population.
+
+No failing read becomes a ``FailureRecord`` on this path.  The clean
+and table lanes hand each read op's mismatches over as arrays (member,
+sweep position, row, observed ``(n, lanes)`` words) and the replay lane
+its scalar hits; :class:`BucketFailures` sorts them once per bucket into the
+reference's order and splits them into one
+:class:`~repro.core.report.FailureLog` per memory.  Scoring, localization
+and repair read those columns with numpy; records are built only when a
+log is iterated, indexed, compared or printed.
+
+The baseline's iterate-repair sparse serial replay
 (:mod:`repro.engine.baseline_session`) also selects on this backend.
 """
 
@@ -46,9 +57,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import itemgetter
 
-from repro.core.report import ProposedReport
+from repro.core.report import (
+    FailureColumns,
+    FailureLog,
+    ProposedReport,
+    StepLabels,
+)
 from repro.core.scheme import FastDiagnosisScheme
 from repro.ecc.vector import BucketEcc
 from repro.engine.backends import (
@@ -67,9 +82,9 @@ from repro.engine.kernel import (
 )
 from repro.engine.packing import (
     HAVE_NUMPY,
-    lanes_to_word,
     np,
     pack_bank,
+    pack_state,
     require_numpy,
     word_to_lanes,
 )
@@ -82,7 +97,7 @@ from repro.engine.session import (
 )
 from repro.march.algorithm import MarchAlgorithm, PauseStep
 from repro.march.element import AddressOrder
-from repro.march.simulator import FailureRecord, MarchResult
+from repro.march.simulator import MarchResult
 from repro.memory.sram import SRAM
 from repro.telemetry.core import tracer as _tracer
 from repro.util.validation import require
@@ -133,7 +148,7 @@ class BatchedBackend(MarchBackend):
         start_cycles = memory.timebase.cycles
         start_ns = memory.now_ns
         (result.failures,) = run_bucket(
-            [memory], raw_step_plans(algorithm, memory.words), memory.words
+            [memory], raw_step_plans(algorithm, memory.words)
         )
         result.cycles = memory.timebase.cycles - start_cycles
         result.elapsed_ns = memory.now_ns - start_ns
@@ -243,6 +258,7 @@ def run_batched_session(scheme: FastDiagnosisScheme) -> ProposedReport:
     algorithm, report, deliveries, nwrc_ops = begin_session(scheme)
     reads_per_word = algorithm.reads_per_word()
     buckets, fallback = plan_session_buckets(scheme.bank)
+    logs = {}
     for bucket in buckets:
         memories = [scheme.bank[index] for index in bucket.indices]
         ecc = None
@@ -252,18 +268,15 @@ def run_batched_session(scheme: FastDiagnosisScheme) -> ProposedReport:
                 [scheme.ecc_observers[memory.name] for memory in memories],
             )
         plans = session_step_plans(scheme, memories[0], algorithm)
-        for memory, failures in zip(
-            memories, run_bucket(memories, plans, scheme.controller_words, ecc)
-        ):
-            report.failures[memory.name] = failures
+        for memory, failures in zip(memories, run_bucket(memories, plans, ecc)):
+            logs[memory.name] = failures
     for index in fallback:
         memory = scheme.bank[index]
-        report.failures[memory.name] = _run_memory_session(
-            scheme, memory, algorithm
-        )
+        logs[memory.name] = _run_memory_session(scheme, memory, algorithm)
     for memory in scheme.bank:
+        report.failures[memory.name] = logs[memory.name]
         finalize_memory_counters(
-            scheme, memory, report.failures[memory.name], reads_per_word
+            scheme, memory, logs[memory.name], reads_per_word
         )
     return finish_session(scheme, report, deliveries, nwrc_ops)
 
@@ -363,22 +376,127 @@ class _TimedEvaluator:
         self._counters.add("lane.table.ns", time.perf_counter_ns() - started)
 
 
+class BucketFailures:
+    """The failing reads of one bucket session, gathered as numpy chunks.
+
+    The vector lanes hand over one chunk of arrays per read op and block
+    (members, sweep positions, rows, observed ``(n, lanes)`` words, with
+    the op's expected lanes shared); the scalar replay lane hands over its
+    hit tuples.  :meth:`logs` sorts everything once into the reference's
+    order -- member, step, sweep position, op -- and splits the columns
+    into one :class:`~repro.core.report.FailureLog` per member.  A bucket
+    without failing reads builds no arrays at all.
+    """
+
+    __slots__ = ("lanes", "_chunks", "_replay")
+
+    def __init__(self, lanes: int) -> None:
+        self.lanes = lanes
+        self._chunks: list[tuple] = []
+        self._replay: list[tuple] = []
+
+    def add(
+        self, step, op, members, positions, rows, expected_lanes, observed
+    ) -> None:
+        """One vector read op's mismatches."""
+        self._chunks.append(
+            (step, op, members, positions, rows, expected_lanes, observed)
+        )
+
+    def add_replay(self, step: int, member: int, hits) -> None:
+        """Replay-lane ``(position, op, row, expected, observed)`` hits."""
+        self._replay.extend((step, member) + hit for hit in hits)
+
+    def logs(
+        self, memories: list[SRAM], steps: dict[int, StepLabels]
+    ) -> list[FailureLog]:
+        """One reference-ordered failure log per member."""
+        if not self._chunks and not self._replay:
+            return [
+                FailureLog.from_records(memory.name, memory.bits, ())
+                for memory in memories
+            ]
+        parts = []
+        if self._chunks:
+            step, op, members, positions, rows, expected, observed = zip(*self._chunks)
+            counts = [len(chunk) for chunk in members]
+            parts.append(
+                (
+                    np.repeat(step, counts),
+                    np.repeat(op, counts),
+                    np.concatenate(members),
+                    np.concatenate(positions),
+                    np.concatenate(rows),
+                    np.repeat(np.stack(expected), counts, axis=0),
+                    np.concatenate(observed),
+                )
+            )
+        if self._replay:
+            step, members, positions, op, rows, expected, observed = zip(*self._replay)
+            parts.append(
+                (
+                    np.array(step),
+                    np.array(op),
+                    np.array(members),
+                    np.array(positions),
+                    np.array(rows),
+                    pack_state(expected, self.lanes),
+                    pack_state(observed, self.lanes),
+                )
+            )
+        step, op, members, positions, rows, expected, observed = (
+            np.concatenate(column) if len(parts) > 1 else column[0]
+            for column in zip(*parts)
+        )
+        order = np.lexsort((op, positions, step, members))
+        step, op, rows = step[order], op[order], rows[order]
+        expected, observed = expected[order], observed[order]
+        bounds = np.searchsorted(members[order], np.arange(len(memories) + 1)).tolist()
+        return [
+            FailureLog(
+                memory.name,
+                memory.bits,
+                steps,
+                FailureColumns(
+                    step[lo:hi],
+                    op[lo:hi],
+                    rows[lo:hi],
+                    expected[lo:hi],
+                    observed[lo:hi],
+                ),
+            )
+            for memory, lo, hi in zip(memories, bounds, bounds[1:])
+        ]
+
+
 def run_bucket(
     memories: list[SRAM],
     plans: list[PauseStep | ElementPlan],
-    sweep_length: int,
     ecc: "BucketEcc | None" = None,
-) -> list[list[FailureRecord]]:
+) -> list[FailureLog]:
     """Run every step of ``plans`` over one stacked geometry bucket.
 
     ``memories`` share one ``(words, bits)`` geometry and are all
-    vector-capable; ``sweep_length`` is the number of sweep positions
-    per element (the controller's word count in a session, the memory's
-    own in a raw run).  ``ecc`` is the bucket's stacked SEC-DED decoder
-    or ``None`` for raw observation.  Returns one reference-ordered
-    failure list per memory; packed state is synced back into the
-    memory objects before returning.
+    vector-capable; every element plan carries the same
+    ``sweep_length`` (the controller's word count in a session, the
+    memory's own in a raw run).  ``ecc`` is the bucket's stacked SEC-DED
+    decoder or ``None`` for raw observation.  Returns one
+    reference-ordered :class:`~repro.core.report.FailureLog` per memory;
+    packed state is synced back into the memory objects before
+    returning.
     """
+    elements = [plan for plan in plans if not isinstance(plan, PauseStep)]
+    if not elements:
+        # Nothing reads or writes: the steps are pure waiting.
+        for plan in plans:
+            for memory in memories:
+                memory.pause(plan.duration_ns)
+        return BucketFailures(1).logs(memories, {})
+    sweep_length = elements[0].sweep_length
+    require(
+        all(plan.sweep_length == sweep_length for plan in elements),
+        "every element plan of a bucket run must share one sweep length",
+    )
     states, _, _, lanes = pack_bank(memories)
     # Three-way row partition: ideal rows take the block-op path, rows
     # whose faults all lower take the compiled-table path, and the rest
@@ -400,7 +518,7 @@ def run_bucket(
         counters.add("bucket.clean_rows", int(lanes_split.clean_masks.sum()))
         if evaluator is not None:
             evaluator = _TimedEvaluator(evaluator, counters)
-    failures: list[list[FailureRecord]] = [[] for _ in memories]
+    failures = BucketFailures(lanes)
     tracker = CleanWordTracker()
     for plan in plans:
         if isinstance(plan, PauseStep):
@@ -414,6 +532,7 @@ def run_bucket(
             plan,
             lanes,
             sweep,
+            failures,
             evaluator,
             tracker,
             ecc,
@@ -425,11 +544,9 @@ def run_bucket(
                 step=plan.step_label,
                 memories=len(memories),
             ):
-                member_failures = run_element_batched(*element_args)
+                run_element_batched(*element_args)
         else:
-            member_failures = run_element_batched(*element_args)
-        for member, records in enumerate(member_failures):
-            failures[member].extend(records)
+            run_element_batched(*element_args)
     if lanes_split.table is not None:
         # Multi-session flows (test -> repair -> retest) reuse fault
         # objects: hand the advanced draw counters / decay clocks back so
@@ -438,7 +555,9 @@ def run_bucket(
     vector_masks = lanes_split.vector_masks
     for member, memory in enumerate(memories):
         sync_clean_rows(memory, states[member], vector_masks[member])
-    return failures
+    return failures.logs(
+        memories, {plan.step_index: plan.labels for plan in elements}
+    )
 
 
 def run_element_batched(
@@ -448,10 +567,11 @@ def run_element_batched(
     plan: ElementPlan,
     lanes: int,
     sweep_plan: BucketSweep,
+    failures: BucketFailures,
     evaluator: "TableEvaluator | None" = None,
     tracker: CleanWordTracker | None = None,
     ecc: "BucketEcc | None" = None,
-) -> list[list[FailureRecord]]:
+) -> None:
     """Execute one element over a same-geometry stack of memories.
 
     ``states`` is the packed ``(n_mem, words, lanes)`` array --
@@ -462,14 +582,13 @@ def run_element_batched(
     bucket session) skips clean compares that provably cannot mismatch.
     ``ecc`` (the bucket's stacked SEC-DED decoder, also held by the
     evaluator) filters clean-path mismatches through the on-die
-    correction before records form.  Returns one reference-ordered
-    failure list per memory, in the reference's address-major order.
+    correction.  Every lane's failing reads go into ``failures``.
     """
     words = sweep_plan.words
     sweep = sweep_plan.sweep
     ops = plan.ops
     per_address = plan.per_address_ticks
-    records: list[list[tuple[int, int, FailureRecord]]] = [[] for _ in memories]
+    step = plan.step_index
 
     positions = sweep_plan.positions
     local_rows = sweep_plan.local_rows[plan.ascending]
@@ -508,7 +627,9 @@ def run_element_batched(
             timebase.tick(plan.deliver_ticks)
         base_cycles = timebase.cycles
         if dirty_positions[member]:
-            records[member].extend(
+            failures.add_replay(
+                step,
+                member,
                 replay_dirty_positions(
                     memory,
                     plan,
@@ -516,7 +637,7 @@ def run_element_batched(
                     base_cycles,
                     per_address,
                     ecc.observers[member] if ecc is not None else None,
-                )
+                ),
             )
         timebase.tick(base_cycles + sweep * per_address - timebase.cycles)
 
@@ -530,9 +651,8 @@ def run_element_batched(
 
     # Clean and table rows: fleet-wide vector ops, block-wise so
     # wrap-around revisits never touch a row twice inside one
-    # assignment/compare.  Failure records are built inline (positional,
-    # names hoisted): dense regimes fail ~10^5 reads a session.
-    names = [memory.name for memory in memories]
+    # assignment/compare.  Mismatches leave as array chunks; no
+    # per-read Python runs here.
     write_lanes_per_op = [
         None if op_plan.op.is_read else word_to_lanes(op_plan.write_word, lanes)
         for op_plan in ops
@@ -540,17 +660,16 @@ def run_element_batched(
     if evaluator is not None:
         evaluator.start_element(plan, write_lanes_per_op, base_now, periods)
     if clean_masks.any() or evaluator is not None:
+        # A full block visits every row exactly once, so the whole slab
+        # can be addressed in natural row order; rows map back to sweep
+        # positions through the precomputed offsets.
+        offsets = sweep_plan.full_block_offsets[plan.ascending]
         for block_start in range(0, sweep, words):
             block_end = min(block_start + words, sweep)
             wrapped = block_start >= words
             full = block_end - block_start == words
             block_rows = local_rows[block_start:block_end]
             block_positions = positions[block_start:block_end]
-            # A full block visits every row exactly once, so the whole
-            # slab can be addressed in natural row order; rows map back
-            # to sweep positions through the precomputed offsets only
-            # when a mismatch is recorded.
-            offsets = sweep_plan.full_block_offsets[plan.ascending]
             ctx = (
                 evaluator.start_block(plan, block_start, block_end - block_start)
                 if evaluator is not None
@@ -583,71 +702,34 @@ def run_element_batched(
                         if telem:
                             counters.add("clean.compares_skipped", block_clean)
                     if mismatch is not None and mismatch.any():
-                        member_hits, row_hits = np.nonzero(mismatch)
-                        keep = corrected = None
+                        members, hits = np.nonzero(mismatch)
+                        if full:
+                            rows = hits
+                            hit_positions = block_start + offsets[hits]
+                        else:
+                            rows = block_rows[hits]
+                            hit_positions = block_positions[hits]
+                        observed = states[members, rows]
                         if ecc is not None:
-                            hit_rows = (
-                                row_hits if full else block_rows[row_hits]
+                            kept, observed = ecc.correct_rows(
+                                members, rows, observed, expected_lanes
                             )
-                            keep, corrected = ecc.decode_rows(
-                                member_hits,
-                                hit_rows,
-                                states[member_hits, hit_rows] ^ expected_lanes,
-                            )
-                        for index, (member, hit) in enumerate(
-                            zip(member_hits, row_hits)
-                        ):
-                            if keep is not None and not keep[index]:
-                                continue
-                            member = int(member)
-                            row = int(block_rows[hit]) if not full else int(hit)
-                            position = (
-                                block_start + int(offsets[row])
-                                if full
-                                else int(block_positions[hit])
-                            )
-                            observed = lanes_to_word(states[member, row])
-                            if corrected is not None and corrected[index] >= 0:
-                                observed ^= 1 << int(corrected[index])
-                            records[member].append(
-                                (
-                                    position,
-                                    op_index,
-                                    FailureRecord(
-                                        names[member],
-                                        plan.step_index,
-                                        plan.step_label,
-                                        op_index,
-                                        op_plan.operation,
-                                        row,
-                                        plan.record_background,
-                                        expected,
-                                        observed,
-                                    ),
-                                )
+                            members = members[kept]
+                            hit_positions, rows = hit_positions[kept], rows[kept]
+                        if len(members):
+                            failures.add(
+                                step, op_index, members, hit_positions, rows,
+                                expected_lanes, observed,
                             )
                     if ctx is not None:
                         if expected_lanes is None:
                             expected_lanes = word_to_lanes(expected, lanes)
-                        for member, row, position, observed in evaluator.read_op(
-                            ctx, expected_lanes, op_index
-                        ):
-                            records[member].append(
-                                (
-                                    position,
-                                    op_index,
-                                    FailureRecord(
-                                        names[member],
-                                        plan.step_index,
-                                        plan.step_label,
-                                        op_index,
-                                        op_plan.operation,
-                                        row,
-                                        plan.record_background,
-                                        expected,
-                                        observed,
-                                    ),
-                                )
+                        hits = evaluator.read_op(ctx, expected_lanes, op_index)
+                        if hits is not None:
+                            members, hit_positions, rows, observed = hits
+                            failures.add(
+                                step, op_index, members, hit_positions, rows,
+                                expected_lanes, observed,
                             )
                 else:
                     # Replay rows are never read from the packed state and
@@ -685,10 +767,6 @@ def run_element_batched(
             "lane.clean.words",
             sweep * len(memories) - replay_words - table_words,
         )
-
-    for member_records in records:
-        member_records.sort(key=itemgetter(0, 1))
-    return [[record for _, _, record in member] for member in records]
 
 
 register_backend("batched", BatchedBackend)

@@ -62,7 +62,6 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.engine.kernel import unpack_columns
 from repro.engine.packing import lanes_for, np
 from repro.telemetry.core import tracer as _tracer
 from repro.faults.base import (
@@ -742,14 +741,14 @@ class TableEvaluator:
         every downstream plane sees the flipped cell, and destructive
         reads preserve the flip), intermittent read upsets perturb only
         the observed word.  Commits destructive-read flips to the packed
-        state and returns ``(member, row, position, observed_word)``
-        tuples for every mismatching row, for the caller to turn into
-        failure records.
+        state and returns ``(members, positions, rows, observed)`` arrays
+        (observed as ``(n, lanes)`` post-decode words) over the mismatching
+        rows, or ``None`` when every row matched.
         """
         table = self.table
         idx = ctx.idx
         if not idx.size:
-            return ()
+            return None
         ret = table.retention
         if ret.size and ctx.ret_in is not None:
             live = ctx.ret_in & np.isfinite(ret.written_at)
@@ -819,34 +818,21 @@ class TableEvaluator:
             self._flat[table.rows_flat[idx]] = stored ^ flips
         mismatch = (observed != expected_lanes).any(axis=1)
         if not mismatch.any():
-            return ()
+            return None
         hit_idx = np.nonzero(mismatch)[0]
         rows = idx[hit_idx]
-        ecc = self._ecc
-        keep = corrected = None
-        if ecc is not None:
-            keep, corrected = ecc.decode_rows(
-                table.rows_member[rows],
-                table.rows_word[rows],
-                observed[hit_idx] ^ expected_lanes,
+        members = table.rows_member[rows]
+        words = table.rows_word[rows]
+        positions = ctx.positions[hit_idx]
+        observed = observed[hit_idx]
+        if self._ecc is not None:
+            kept, observed = self._ecc.correct_rows(
+                members, words, observed, expected_lanes
             )
-        # Bulk conversion: one C-level ``tolist`` per column instead of
-        # per-hit array indexing (dense regimes fail ~10^5 reads a session).
-        hits = zip(
-            table.rows_member[rows].tolist(),
-            table.rows_word[rows].tolist(),
-            ctx.positions[hit_idx].tolist(),
-            unpack_columns(observed[hit_idx]),
-        )
-        if keep is None:
-            return list(hits)
-        return [
-            (member, word, position, observed_word ^ (1 << bit if bit >= 0 else 0))
-            for (member, word, position, observed_word), kept, bit in zip(
-                hits, keep.tolist(), corrected.tolist()
-            )
-            if kept
-        ]
+            if not kept.size:
+                return None
+            members, positions, words = members[kept], positions[kept], words[kept]
+        return members, positions, words, observed
 
     def _op_now(self, ctx: _BlockContext, op_index: int):
         """Analytic wall clock of op ``op_index`` at each retention entry.

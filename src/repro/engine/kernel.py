@@ -18,7 +18,7 @@ buckets; this module holds the pieces it shares with the scalar lanes:
 * :func:`sync_clean_rows` / :class:`CleanWordTracker` -- packed-state
   write-back and the provably-clean compare skip.
 
-Failure records carry ``(position, op_index)`` keys so every lane merges
+Failing reads carry ``(position, op_index)`` keys so every lane merges
 back into the reference's address-major order exactly.
 """
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.report import StepLabels, unpack_words
 from repro.engine.packing import np
 from repro.march.ops import Operation
 from repro.march.simulator import FailureRecord
@@ -38,23 +39,7 @@ def sync_clean_rows(memory: SRAM, state, clean_mask) -> None:
     rows = np.nonzero(clean_mask)[0].tolist()
     if not rows:
         return
-    values = unpack_columns(state)
-    memory.force_store_rows(rows, values)
-
-
-def unpack_columns(state) -> list[int]:
-    """Reassemble a packed ``(words, lanes)`` array into Python-int words.
-
-    Bulk counterpart of :func:`repro.engine.packing.lanes_to_word`: one
-    C-level ``tolist`` per lane instead of one array slice per row.
-    """
-    lanes = state.shape[1]
-    values = state[:, 0].tolist()
-    for lane in range(1, lanes):
-        shift = 64 * lane
-        column = state[:, lane].tolist()
-        values = [value | (high << shift) for value, high in zip(values, column)]
-    return values
+    memory.force_store_rows(rows, unpack_words(state))
 
 
 @dataclass
@@ -114,7 +99,7 @@ class ElementPlan:
     def __post_init__(self) -> None:
         # Flat per-op tuples so the behavioural replay's hot loop skips
         # attribute/property dispatch: (is_read, is_nwrc, write_word,
-        # expected_plain, expected_wrapped, extra_ticks, op_plan).
+        # expected_plain, expected_wrapped, extra_ticks).
         object.__setattr__(
             self,
             "compiled_ops",
@@ -126,7 +111,6 @@ class ElementPlan:
                     op_plan.expected_plain,
                     op_plan.expected_wrapped,
                     op_plan.tick_cost - 1,
-                    op_plan,
                 )
                 for op_plan in self.ops
             ),
@@ -144,6 +128,16 @@ class ElementPlan:
             per_address += op_plan.tick_cost
         object.__setattr__(self, "per_address_ticks", per_address)
         object.__setattr__(self, "access_ticks", tuple(access_ticks))
+        # The record fields every failing read of this element shares.
+        object.__setattr__(
+            self,
+            "labels",
+            StepLabels(
+                self.step_label,
+                self.record_background,
+                tuple(op_plan.operation for op_plan in self.ops),
+            ),
+        )
 
 
 def replay_dirty_positions(
@@ -153,16 +147,17 @@ def replay_dirty_positions(
     base_cycles: int,
     per_address: int,
     ecc=None,
-) -> list[tuple[int, int, FailureRecord]]:
+) -> list[tuple[int, int, int, int, int]]:
     """Behavioural replay of fault-hooked rows in exact sweep order.
 
     The shared time base is fast-forwarded to the cycle the reference
     implementation would show at each visit, so stateful faults observe
-    identical times and orderings.  Returns ``(position, op_index,
-    record)`` triples for merging back into reference order.  The batched
-    tier precomputes each memory's dirty positions once per session (they
-    depend only on the static dirty mask and the sweep direction); local
-    rows fall out of the position arithmetically.
+    identical times and orderings.  Returns one ``(position, op_index,
+    row, expected, observed)`` tuple per failing read, for merging back
+    into reference order.  The batched tier precomputes each memory's
+    dirty positions once per session (they depend only on the static
+    dirty mask and the sweep direction); local rows fall out of the
+    position arithmetically.
 
     Accesses go through the memory's ideal-periphery replay lane
     (:meth:`repro.memory.sram.SRAM.replay_read` /
@@ -173,7 +168,7 @@ def replay_dirty_positions(
     ``ecc`` is the memory's :class:`repro.ecc.observer.EccObserver` (or
     ``None`` for raw observation): each mismatch is decoded scalar-wise --
     the replay lane is scalar anyway -- and masked mismatches produce no
-    record.
+    failing read.
     """
     tr = _tracer()
     if tr.enabled and dirty_positions:
@@ -191,7 +186,7 @@ def replay_dirty_positions(
     words = memory.words
     ascending = plan.ascending
     last = plan.sweep_length - 1
-    records: list[tuple[int, int, FailureRecord]] = []
+    hits: list[tuple[int, int, int, int, int]] = []
     for position in dirty_positions:
         local = (position if ascending else last - position) % words
         wrapped = position >= words
@@ -203,7 +198,6 @@ def replay_dirty_positions(
             expected_plain,
             expected_wrapped,
             extra_ticks,
-            op_plan,
         ) in enumerate(compiled):
             if is_read:
                 observed = read(local)
@@ -215,16 +209,10 @@ def replay_dirty_positions(
                         observed = ecc.observe(local, expected, observed)
                         if observed == expected:
                             continue
-                    records.append(
-                        (
-                            position,
-                            op_index,
-                            _record(memory, plan, op_plan, op_index, local, expected, observed),
-                        )
-                    )
+                    hits.append((position, op_index, local, expected, observed))
             else:
                 write(local, write_word, is_nwrc)
-    return records
+    return hits
 
 
 def run_element_slow(
@@ -259,7 +247,17 @@ def run_element_slow(
                         if observed == expected:
                             continue
                     records.append(
-                        _record(memory, plan, op_plan, op_index, local, expected, observed)
+                        FailureRecord(
+                            memory.name,
+                            plan.step_index,
+                            plan.step_label,
+                            op_index,
+                            op_plan.operation,
+                            local,
+                            plan.record_background,
+                            expected,
+                            observed,
+                        )
                     )
             elif operation.is_nwrc:
                 memory.nwrc_write(local, op_plan.write_word)
@@ -267,24 +265,3 @@ def run_element_slow(
                 memory.write(local, op_plan.write_word)
     return records
 
-
-def _record(
-    memory: SRAM,
-    plan: ElementPlan,
-    op_plan: OpPlan,
-    op_index: int,
-    address: int,
-    expected: int,
-    observed: int,
-) -> FailureRecord:
-    return FailureRecord(
-        memory_name=memory.name,
-        step_index=plan.step_index,
-        step_label=plan.step_label,
-        op_index=op_index,
-        operation=op_plan.operation,
-        address=address,
-        background=plan.record_background,
-        expected=expected,
-        observed=observed,
-    )

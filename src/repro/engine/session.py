@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.core.report import ProposedReport
+from repro.core.report import FailureLog, ProposedReport
 from repro.core.scheme import FastDiagnosisScheme
 from repro.engine.backends import MarchBackend, ReferenceBackend, resolve_backend
 from repro.engine.kernel import ElementPlan, OpPlan, run_element_slow
@@ -103,7 +103,6 @@ def begin_session(scheme: FastDiagnosisScheme):
         controller_words=scheme.controller_words,
         controller_bits=scheme.controller_bits,
         period_ns=scheme.period_ns,
-        failures={memory.name: [] for memory in scheme.bank},
     )
 
     controller_words = scheme.controller_words
@@ -151,12 +150,13 @@ def finish_session(
 def finalize_memory_counters(
     scheme: FastDiagnosisScheme,
     memory: SRAM,
-    failures: list[FailureRecord],
+    failures: FailureLog,
     reads_per_word: int,
 ) -> None:
     """Per-memory comparator/PSC bookkeeping, identical to the reference."""
     comparator = scheme.comparators[memory.name]
-    comparator.failures.extend(failures)
+    # The session reset the comparator, so the log is its whole content.
+    comparator.failures = failures
     comparator.comparisons += scheme.controller_words * reads_per_word
     psc = scheme.pscs[memory.name]
     psc.captures += scheme.controller_words * reads_per_word
@@ -275,7 +275,7 @@ def _build_step_plans(
 
 def _run_memory_session(
     scheme: FastDiagnosisScheme, memory: SRAM, algorithm: MarchAlgorithm
-) -> list[FailureRecord]:
+) -> FailureLog:
     """Simulate one non-vector-capable memory through the whole session."""
     ecc = scheme.ecc_observers.get(memory.name)
     tr = _tracer()
@@ -290,4 +290,4 @@ def _run_memory_session(
                 failures.extend(run_element_slow(memory, plan, ecc))
         else:
             failures.extend(run_element_slow(memory, plan, ecc))
-    return failures
+    return FailureLog.from_records(memory.name, memory.bits, failures)

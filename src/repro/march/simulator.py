@@ -61,6 +61,8 @@ class MarchResult(Record):
 
     algorithm_name: str
     memory_name: str
+    #: Records in run order (a :class:`~repro.core.report.FailureLog` when
+    #: the batched backend ran the march).
     failures: list[FailureRecord] = field(default_factory=list)
     cycles: int = 0
     elapsed_ns: float = 0.0

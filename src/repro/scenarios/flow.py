@@ -28,7 +28,7 @@ from repro.baseline.scheme import BaselineReport, HuangJoneScheme
 from repro.core.campaign import DiagnosisCampaign
 from repro.core.redundancy import RedundancyBudget
 from repro.core.repair import BisrController, RepairController
-from repro.core.report import ProposedReport
+from repro.core.report import ProposedReport, groups_hit, sorted_unique
 from repro.core.scheme import FastDiagnosisScheme
 from repro.engine.aggregate import CampaignSummary
 from repro.faults.base import Fault
@@ -39,7 +39,7 @@ from repro.memory.sram import SRAM
 from repro.scenarios.cluster import assign_rates
 from repro.scenarios.spec import ScenarioSpec
 from repro.util.records import Record
-from repro.util.rng import derive_seed, mix_seed, name_seed
+from repro.util.rng import derive_seed, mix_seed, name_seed, np
 from repro.util.units import format_duration_ns
 
 #: Stream labels separating the per-campaign derived seeds.
@@ -278,9 +278,19 @@ def run_scenario_campaign(
             "test", 0, failures=proposed.total_failures, time_ns=proposed.time_ns
         )
     )
-    detected: dict[str, set[CellRef]] = {
-        memory.name: proposed.detected_cells(memory.name) for memory in bank
+    # Detected cells per memory as sorted cell keys (FailureLog.cell_keys).
+    detected = {
+        memory.name: proposed.failures[memory.name].cell_keys() for memory in bank
     }
+
+    def fold_detected(session: ProposedReport) -> None:
+        for memory in bank:
+            detected[memory.name] = sorted_unique(
+                np.concatenate(
+                    (detected[memory.name], session.failures[memory.name].cell_keys())
+                )
+            )
+
     if spec.include_baseline:
         baseline_bank, baseline_injector = campaign.faulty_bank()
         report.baseline = campaign.diagnose_baseline(
@@ -332,8 +342,7 @@ def run_scenario_campaign(
             break
         last = campaign.diagnose_proposed(scheme)
         fold_ecc(last)
-        for memory in bank:
-            detected[memory.name] |= last.detected_cells(memory.name)
+        fold_detected(last)
         report.stages.append(
             StageOutcome(
                 "retest",
@@ -354,7 +363,6 @@ def run_scenario_campaign(
     # victims, not when a manufacturing fault already failed that cell in
     # an earlier stage.
     intermittent: dict[str, list[Fault]] = {}
-    burn_detected: dict[str, set[CellRef]] = {}
     if spec.burn_in:
         for memory in bank:
             population = burn_in_population(spec, memory, seed)
@@ -371,9 +379,7 @@ def run_scenario_campaign(
                 time_ns=burn.time_ns,
             )
         )
-        for memory in bank:
-            burn_detected[memory.name] = burn.detected_cells(memory.name)
-            detected[memory.name] |= burn_detected[memory.name]
+        fold_detected(burn)
 
     # Escape accounting: manufacturing faults never localized by any
     # session of the flow, and intermittent detection at burn-in.  Under
@@ -383,25 +389,27 @@ def run_scenario_campaign(
     total = 0
     escaped = 0
     masked_escaped = 0
+    bits = {memory.name: memory.bits for memory in bank}
     for name in injector.memories():
-        seen = detected.get(name, set())
+        faults = injector.faults_for(name)
+        seen = groups_hit(
+            detected[name], bits[name], [fault.victims for fault in faults]
+        )
+        total += len(faults)
         corrected = ecc_corrected.get(name, set())
-        for fault in injector.faults_for(name):
-            total += 1
-            victims = set(fault.victims)
-            if not seen & victims:
+        for fault, hit in zip(faults, seen.tolist()):
+            if not hit:
                 escaped += 1
-                if corrected & victims:
+                if not corrected.isdisjoint(fault.victims):
                     masked_escaped += 1
     report.escaped_faults = escaped
     report.ecc_masked_escaped = masked_escaped
     report.localization_rate = 1.0 if total == 0 else 1.0 - escaped / total
     report.intermittent_faults = sum(len(f) for f in intermittent.values())
+    # ``intermittent`` is filled only when the burn-in session ran.
     report.intermittent_detected = sum(
-        1
+        int(burn.failures[name].detects([fault.victims for fault in faults]).sum())
         for name, faults in intermittent.items()
-        for fault in faults
-        if burn_detected.get(name, set()) & set(fault.victims)
     )
     return report
 

@@ -246,11 +246,13 @@ def _run_window(
         sweep = run_session(scheme, backend=backend)
         report.sweep_failures = sweep.total_failures
         report.sweep_time_ns = sweep.time_ns
-        detected = {name: sweep.detected_cells(name) for name in affected}
+        struck: dict[str, list] = {name: [] for name in affected}
         for event in events:
-            cell = geometries[event.memory].cell_at(event.cell_index)
-            if cell in detected[event.memory]:
-                report.detected_events += 1
+            struck[event.memory].append(
+                (geometries[event.memory].cell_at(event.cell_index),)
+            )
+        for name, cells in struck.items():
+            report.detected_events += int(sweep.failures[name].detects(cells).sum())
         report.escaped_events = report.events - report.detected_events
     report.elapsed_s = time.perf_counter() - started
     return report

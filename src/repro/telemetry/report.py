@@ -277,6 +277,12 @@ class TelemetryReport:
                     f"{fleet['quarantined']} quarantined, "
                     f"{fleet['chunks_recovered']} checkpoint chunks recovered"
                 )
+        score = self.span_stats.get("core.report.score")
+        if score:
+            lines.append(
+                f"  scoring         : {score[1] / 1e9:.3f} s over {score[0]} "
+                f"score/localization calls"
+            )
         stream = self.stream_stats()
         if stream["windows"]:
             mean = stream["mean_window_s"]

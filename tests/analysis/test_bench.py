@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -80,6 +81,11 @@ class TestRunSuites:
         assert engine["single_campaign"]["speedup"] > 1.0
         assert engine["fleet"]["campaigns"] == 4
         assert engine["fleet"]["campaigns_per_sec"] > 0
+        # Every recorded measurement names its code and its machine.
+        assert payload["cpu_count"] == os.cpu_count()
+        assert payload["git_rev"] == git_revision()
+        entry = trajectory_entry(payload, "2026-08-08T00:00:00")
+        assert entry["cpu_count"] == os.cpu_count()
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown bench suite"):

@@ -113,6 +113,15 @@ class TestTelemetryContent:
         report = run_fleet(SPEC, workers=1, telemetry=True)
         assert report.telemetry.span_stats["march.element"][0] > 0
 
+    def test_scoring_span_recorded_and_summarized(self):
+        report = run_fleet(SPEC, workers=1, telemetry=True)
+        # One localization-rate scoring per campaign.
+        assert report.telemetry.span_stats["core.report.score"][0] == 4
+        assert any(
+            line.strip().startswith("scoring")
+            for line in report.telemetry.summary_lines()
+        )
+
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="checkpoint fleets use auto backend")
 class TestCheckpointResumeEquality:

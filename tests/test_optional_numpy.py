@@ -95,3 +95,26 @@ def test_sampling_raises_helpful_error_without_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "True"
+
+
+def test_failure_log_records_work_and_scoring_explains_without_numpy():
+    # Reference failure logs keep their records without numpy; only the
+    # column-based scoring needs the [fast] extra, and says so.
+    result = run_without_numpy(
+        "from repro import FastDiagnosisScheme, MemoryBank, MemoryGeometry, SRAM\n"
+        "from repro.faults.injector import FaultInjector\n"
+        "from repro.faults.stuck_at import StuckAtFault\n"
+        "from repro.memory.geometry import CellRef\n"
+        "memory = SRAM(MemoryGeometry(16, 4, 'm0'))\n"
+        "injector = FaultInjector()\n"
+        "injector.inject(memory, StuckAtFault(CellRef(3, 1), value=1))\n"
+        "report = FastDiagnosisScheme(MemoryBank([memory])).diagnose()\n"
+        "log = report.failures['m0']\n"
+        "assert len(log) == len(list(log)) > 0 and log[0].address == 3\n"
+        "try:\n"
+        "    report.localization_rate(injector)\n"
+        "except RuntimeError as error:\n"
+        "    print('[fast]' in str(error))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "True"

@@ -340,13 +340,13 @@ def trajectory_entry(payload: dict, timestamp: str) -> dict:
     ``speedup_over`` key and hold batched-vs-numpy ratios) and, when the
     run was telemetry-instrumented, the heavy-diagnostic replay-lane time
     share (the number the compiled kernel roadmap item is tracked by),
-    plus the payload's core count.  Outside a git checkout (or with a
-    broken ``git``) the record degrades to ``git_rev: null`` rather than
-    failing the bench run.
+    plus the payload's commit and core count (``run_suites`` records
+    both; outside a git checkout, or with a broken ``git``, its
+    ``git_rev`` is ``null`` rather than failing the bench run).
     """
     entry: dict = {
         "timestamp": timestamp,
-        "git_rev": _git_revision_or_none(),
+        "git_rev": payload.get("git_rev"),
         "cpu_count": payload.get("cpu_count"),
         "quick": bool(payload.get("quick")),
         "speedup_over": "reference",

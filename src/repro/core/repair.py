@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.redundancy import RedundancyBudget, allocate_redundancy
-from repro.core.report import ProposedReport, in_sorted
+from repro.core.report import ProposedReport
 from repro.memory.bank import MemoryBank
 from repro.memory.geometry import CellRef
 from repro.memory.spare import SpareBank
 from repro.util.records import Record
-from repro.util.rng import np
 from repro.util.validation import require
 
 
@@ -63,7 +62,7 @@ class RepairController:
         result = RepairResult()
         for memory in self.bank:
             log = report.failures.get(memory.name)
-            failing = log.addresses().tolist() if log else []
+            failing = log.addresses() if log else []
             spare_bank = self.spares[memory.name]
             repaired: set[int] = set()
             exhausted: set[int] = set()
@@ -173,22 +172,13 @@ class BisrController:
             name = memory.name
             result.new_rows[name] = set()
             result.new_cols[name] = set()
-            log = report.failures.get(name)
-            if not log:
-                continue
-            words, bits = log.failing_cells()
-            uncovered = ~(
-                in_sorted(words, np.array(sorted(self.rows[name]), dtype=np.int64))
-                | in_sorted(bits, np.array(sorted(self.cols[name]), dtype=np.int64))
-            )
-            if not uncovered.any():
-                continue
             residual = {
-                CellRef(word, bit)
-                for word, bit in zip(
-                    words[uncovered].tolist(), bits[uncovered].tolist()
-                )
+                cell
+                for cell in report.detected_cells(name)
+                if not self.covered(name, cell)
             }
+            if not residual:
+                continue
             self.needing.add(name)
             remaining_budget = RedundancyBudget(
                 self.budget.spare_rows - len(self.rows[name]),

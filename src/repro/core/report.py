@@ -15,7 +15,9 @@ Scoring, localization and repair input are numpy operations over the
 columns, and :class:`~repro.march.simulator.FailureRecord` objects are
 built only when a log is iterated, indexed, compared or printed -- so
 record-level consumers (the diagnosis dictionary, scan-out, backend
-equality checks) see exactly the reference's records.
+equality checks) see exactly the reference's records.  Without numpy (the
+``[fast]`` extra) only the reference backend runs; its logs then score,
+localize and feed repair by walking their records instead.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ from repro.faults.injector import FaultInjector
 from repro.march.simulator import FailureRecord
 from repro.memory.geometry import CellRef
 from repro.telemetry.core import tracer as _tracer
+from repro.util.lanes import LANE_BITS, lanes_for, pack_state, unpack_words
 from repro.util.records import Record
-from repro.util.rng import np, require_numpy
+from repro.util.rng import HAVE_NUMPY, np, require_numpy
 from repro.util.units import format_duration_ns
-
-_LANE_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,8 @@ class FailureLog:
     records (:meth:`from_records`, which keeps the records and builds the
     columns on first use).  Within one log a step index determines the
     label, background and per-op notation, as every producer guarantees.
-    Cell keys are ``row * bits + bit``.
+    Cell keys are ``row * bits + bit``.  Without numpy a log can only come
+    from records, and the scoring methods walk those records instead.
     """
 
     __slots__ = ("memory_name", "bits", "steps", "_columns", "_records", "_keys")
@@ -156,15 +158,15 @@ class FailureLog:
     def columns(self) -> FailureColumns:
         """The per-read columns (derived from the records on first use)."""
         if self._columns is None:
-            require_numpy("failure-log scoring")
+            require_numpy("failure-log columns")
             records = self._records
-            lanes = max(1, -(-self.bits // 64))
+            lanes = lanes_for(self.bits)
             self._columns = FailureColumns(
                 np.array([r.step_index for r in records], dtype=np.int64),
                 np.array([r.op_index for r in records], dtype=np.int64),
                 np.array([r.address for r in records], dtype=np.int64),
-                _pack([r.expected for r in records], lanes),
-                _pack([r.observed for r in records], lanes),
+                pack_state([r.expected for r in records], lanes),
+                pack_state([r.observed for r in records], lanes),
             )
             shared: dict[int, tuple[str, int, dict[int, str]]] = {}
             for record in records:
@@ -195,7 +197,8 @@ class FailureLog:
         while words.size:
             lowest = words & (~words + np.uint64(1))
             all_reads.append(reads)
-            all_bits.append(lanes * 64 + np.frexp(lowest.astype(np.float64))[1] - 1)
+            exponents = np.frexp(lowest.astype(np.float64))[1]
+            all_bits.append(lanes * LANE_BITS + exponents - 1)
             words ^= lowest
             left = words != 0
             reads, lanes, words = reads[left], lanes[left], words[left]
@@ -206,44 +209,77 @@ class FailureLog:
         order = np.lexsort((bits, reads))
         return reads[order], bits[order]
 
-    def cell_keys(self) -> "np.ndarray":
-        """Sorted distinct keys of every cell a failing read implicated."""
+    def _record_cells(self):
+        """``(cell key, step label)`` per mismatching bit, walking the records.
+
+        The numpy-less counterpart of :meth:`_failing_bits`, read-major.
+        """
+        bits = self.bits
+        for record in self._records:
+            for cell in record.failing_cells():
+                yield cell.word * bits + cell.bit, record.step_label
+
+    def cell_keys(self):
+        """Sorted distinct keys of every cell a failing read implicated.
+
+        A numpy array, or a list of ints without numpy.
+        """
         if self._keys is None:
-            require_numpy("failure-log scoring")
-            if not self:
+            if not HAVE_NUMPY:
+                self._keys = sorted({key for key, _ in self._record_cells()})
+            elif not self:
                 self._keys = np.zeros(0, dtype=np.int64)
             else:
                 reads, bits = self._failing_bits()
                 self._keys = sorted_unique(self.columns.row[reads] * self.bits + bits)
         return self._keys
 
-    def failing_cells(self) -> tuple["np.ndarray", "np.ndarray"]:
-        """``(words, bits)`` of the distinct implicated cells, sorted."""
+    def failing_cells(self) -> list[CellRef]:
+        """The distinct implicated cells, sorted by ``(word, bit)``."""
         keys = self.cell_keys()
-        return keys // self.bits, keys % self.bits
+        if HAVE_NUMPY:
+            keys = keys.tolist()
+        bits = self.bits
+        return [CellRef(key // bits, key % bits) for key in keys]
 
-    def addresses(self) -> "np.ndarray":
+    def addresses(self) -> list[int]:
         """Sorted distinct addresses with at least one failing read."""
-        return sorted_unique(self.columns.row)
+        if not HAVE_NUMPY:
+            return sorted({record.address for record in self._records})
+        return sorted_unique(self.columns.row).tolist()
 
-    def cell_evidence(self):
+    def cell_evidence(self) -> tuple[list[int], list[int], list[str]]:
         """Per distinct cell: ``(keys, failing-read counts, first step)``.
 
-        ``first step`` is the step index of the earliest read that
+        ``first step`` is the step label of the earliest read that
         implicated the cell; keys are sorted.
         """
+        if not HAVE_NUMPY:
+            counts: dict[int, int] = {}
+            first: dict[int, str] = {}
+            for key, label in self._record_cells():
+                counts[key] = counts.get(key, 0) + 1
+                first.setdefault(key, label)
+            keys = sorted(counts)
+            return keys, [counts[key] for key in keys], [first[key] for key in keys]
         reads, bits = self._failing_bits()
         keys = self.columns.row[reads] * self.bits + bits
         if not len(keys):
-            return keys, keys, keys
+            return [], [], []
         # A stable sort keeps each key's earliest read first in its run.
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         starts = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
         counts = np.diff(starts, append=len(keys))
-        return keys[starts], counts, self.columns.step[reads[order[starts]]]
+        first_steps = self.columns.step[reads[order[starts]]].tolist()
+        steps = self.steps
+        return (
+            keys[starts].tolist(),
+            counts.tolist(),
+            [steps[step].label for step in first_steps],
+        )
 
-    def detects(self, victim_groups: Sequence[Sequence[CellRef]]) -> "np.ndarray":
+    def detects(self, victim_groups: Sequence[Sequence[CellRef]]) -> list[bool]:
         """Per group: whether any of its cells was implicated."""
         return groups_hit(self.cell_keys(), self.bits, victim_groups)
 
@@ -253,8 +289,17 @@ def _score_span():
     return _tracer().span("core.report.score", "score")
 
 
-def groups_hit(keys, bits: int, groups: Sequence[Sequence[CellRef]]) -> "np.ndarray":
-    """Per group of cells: whether any cell's key is in sorted ``keys``."""
+def groups_hit(keys, bits: int, groups: Sequence[Sequence[CellRef]]) -> list[bool]:
+    """Per group of cells: whether any cell's key is in sorted ``keys``.
+
+    ``keys`` is a :meth:`FailureLog.cell_keys` result (a list without numpy).
+    """
+    if not HAVE_NUMPY:
+        present = set(keys)
+        return [
+            any(cell.word * bits + cell.bit in present for cell in cells)
+            for cells in groups
+        ]
     flat: list[int] = []
     owner: list[int] = []
     for index, cells in enumerate(groups):
@@ -265,7 +310,7 @@ def groups_hit(keys, bits: int, groups: Sequence[Sequence[CellRef]]) -> "np.ndar
     if flat:
         found = in_sorted(np.array(flat, dtype=np.int64), keys)
         hit[np.array(owner, dtype=np.int64)[found]] = True
-    return hit
+    return hit.tolist()
 
 
 # ``np.unique``/``np.isin``/``np.union1d`` import ``numpy.ma`` on first use
@@ -286,30 +331,6 @@ def in_sorted(values, keys) -> "np.ndarray":
     index = np.searchsorted(keys, values)
     index[index == len(keys)] = 0
     return keys[index] == values
-
-
-def _pack(values: list[int], lanes: int) -> "np.ndarray":
-    """Python-int words to an ``(n, lanes)`` uint64 array."""
-    packed = np.empty((len(values), lanes), dtype=np.uint64)
-    for lane in range(lanes):
-        shift = 64 * lane
-        packed[:, lane] = [(value >> shift) & _LANE_MASK for value in values]
-    return packed
-
-
-def unpack_words(lanes) -> list[int]:
-    """Reassemble an ``(n, lanes)`` uint64 array into Python-int words.
-
-    One C-level ``tolist`` per lane instead of one array slice per row.
-    """
-    values = lanes[:, 0].tolist()
-    for lane in range(1, lanes.shape[1]):
-        shift = 64 * lane
-        values = [
-            value | (high << shift)
-            for value, high in zip(values, lanes[:, lane].tolist())
-        ]
-    return values
 
 
 @dataclass(frozen=True)
@@ -387,10 +408,7 @@ class ProposedReport(Record):
     def detected_cells(self, memory_name: str) -> set[CellRef]:
         """Cells implicated by failures in one memory."""
         log = self.failures.get(memory_name)
-        if not log:
-            return set()
-        words, bits = log.failing_cells()
-        return {CellRef(word, bit) for word, bit in zip(words.tolist(), bits.tolist())}
+        return set(log.failing_cells()) if log else set()
 
     def failing_memories(self) -> list[str]:
         """Names of memories with at least one failure."""
@@ -424,23 +442,22 @@ class ProposedReport(Record):
             faults = injector.faults_for(name)
             log = self.failures.get(name)
             if log:
-                hits = log.detects([fault.victims for fault in faults]).tolist()
+                hits = log.detects([fault.victims for fault in faults])
             else:
                 hits = [False] * len(faults)
             yield name, faults, hits
 
-    def localization_rate(self, injector: FaultInjector, fault_filter=None) -> float:
-        """Fraction of injected faults whose victims were localized."""
-        if fault_filter is not None:
-            scores = [s for s in self.score_against(injector) if fault_filter(s)]
-            localized = sum(1 for s in scores if s.localized)
-            total = len(scores)
-        else:
-            with _score_span():
-                localized = total = 0
-                for _, faults, hits in self._fault_hits(injector):
-                    localized += sum(hits)
-                    total += len(faults)
+    def localization_rate(self, injector: FaultInjector) -> float:
+        """Fraction of injected faults whose victims were localized.
+
+        Counts the flags :meth:`score_against` would put in its scores
+        without building them.
+        """
+        with _score_span():
+            localized = total = 0
+            for _, faults, hits in self._fault_hits(injector):
+                localized += sum(hits)
+                total += len(faults)
         if not total:
             return 1.0
         return localized / total
@@ -456,22 +473,17 @@ class ProposedReport(Record):
         log = self.failures.get(memory_name)
         if not log:
             return []
-        keys, counts, first_steps = log.cell_evidence()
+        bits = log.bits
         # Strongest first; keys order cells by (word, bit) within a count.
-        order = np.lexsort((keys, -counts))
-        steps = log.steps
+        evidence = sorted(zip(*log.cell_evidence()), key=lambda e: (-e[1], e[0]))
         return [
             LocalizedCell(
                 memory_name=memory_name,
-                cell=CellRef(key // log.bits, key % log.bits),
+                cell=CellRef(key // bits, key % bits),
                 failing_reads=count,
-                first_step=steps[step].label,
+                first_step=label,
             )
-            for key, count, step in zip(
-                keys[order].tolist(),
-                counts[order].tolist(),
-                first_steps[order].tolist(),
-            )
+            for key, count, label in evidence
         ]
 
     def summary_lines(self) -> list[str]:

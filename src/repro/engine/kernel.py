@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.report import StepLabels, unpack_words
-from repro.engine.packing import np
+from repro.core.report import StepLabels
+from repro.engine.packing import np, unpack_words
 from repro.march.ops import Operation
 from repro.march.simulator import FailureRecord
 from repro.memory.sram import SRAM

@@ -8,11 +8,21 @@ assignments and march reads become whole-array compares.
 
 numpy itself is an *optional* dependency of the engine (the ``[fast]``
 extra); every entry point gates on :data:`HAVE_NUMPY` and falls back to the
-pure-Python reference backend when it is missing.
+pure-Python reference backend when it is missing.  The per-word lane
+helpers live in :mod:`repro.util.lanes`, shared with the failure logs, and
+are re-exported here.
 """
 
 from __future__ import annotations
 
+from repro.util.lanes import (
+    LANE_BITS,
+    lanes_for,
+    lanes_to_word,
+    pack_state,
+    unpack_words,
+    word_to_lanes,
+)
 from repro.util.rng import HAVE_NUMPY, np, require_numpy
 
 __all__ = [
@@ -24,46 +34,9 @@ __all__ = [
     "pack_bank",
     "pack_state",
     "require_numpy",
+    "unpack_words",
     "word_to_lanes",
 ]
-
-#: Width of one packed lane.
-LANE_BITS = 64
-_LANE_MASK = (1 << LANE_BITS) - 1
-
-
-def lanes_for(bits: int) -> int:
-    """Number of 64-bit lanes needed for a word of ``bits`` bits."""
-    return (bits + LANE_BITS - 1) // LANE_BITS
-
-
-def word_to_lanes(word: int, lanes: int):
-    """Split one Python-int word into a ``(lanes,)`` uint64 array."""
-    return np.array(
-        [(word >> (LANE_BITS * i)) & _LANE_MASK for i in range(lanes)],
-        dtype=np.uint64,
-    )
-
-
-def lanes_to_word(row) -> int:
-    """Reassemble one packed row back into a Python-int word."""
-    word = 0
-    for i in range(row.shape[0]):
-        word |= int(row[i]) << (LANE_BITS * i)
-    return word
-
-
-def pack_state(words: list[int], lanes: int):
-    """Pack a full memory dump into a ``(len(words), lanes)`` uint64 array."""
-    if lanes == 1:
-        # Words already fit one lane: a single C-level conversion.
-        return np.fromiter(words, dtype=np.uint64, count=len(words)).reshape(-1, 1)
-    state = np.empty((len(words), lanes), dtype=np.uint64)
-    for lane in range(lanes):
-        shift = LANE_BITS * lane
-        state[:, lane] = [(w >> shift) & _LANE_MASK for w in words]
-    return state
-
 
 def pack_bank(memories):
     """Pack same-geometry memories into one stacked fleet array.

@@ -397,7 +397,7 @@ def run_scenario_campaign(
         )
         total += len(faults)
         corrected = ecc_corrected.get(name, set())
-        for fault, hit in zip(faults, seen.tolist()):
+        for fault, hit in zip(faults, seen):
             if not hit:
                 escaped += 1
                 if not corrected.isdisjoint(fault.victims):
@@ -408,7 +408,7 @@ def run_scenario_campaign(
     report.intermittent_faults = sum(len(f) for f in intermittent.values())
     # ``intermittent`` is filled only when the burn-in session ran.
     report.intermittent_detected = sum(
-        int(burn.failures[name].detects([fault.victims for fault in faults]).sum())
+        sum(burn.failures[name].detects([fault.victims for fault in faults]))
         for name, faults in intermittent.items()
     )
     return report

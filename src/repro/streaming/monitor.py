@@ -252,7 +252,7 @@ def _run_window(
                 (geometries[event.memory].cell_at(event.cell_index),)
             )
         for name, cells in struck.items():
-            report.detected_events += int(sweep.failures[name].detects(cells).sum())
+            report.detected_events += sum(sweep.failures[name].detects(cells))
         report.escaped_events = report.events - report.detected_events
     report.elapsed_s = time.perf_counter() - started
     return report

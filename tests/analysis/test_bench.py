@@ -86,6 +86,7 @@ class TestRunSuites:
         assert payload["git_rev"] == git_revision()
         entry = trajectory_entry(payload, "2026-08-08T00:00:00")
         assert entry["cpu_count"] == os.cpu_count()
+        assert entry["git_rev"] == payload["git_rev"]
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown bench suite"):
@@ -183,10 +184,12 @@ class TestTrajectory:
     def test_entry_outside_git_checkout_records_null_rev(
         self, tmp_path, monkeypatch
     ):
-        # Run from a non-git directory: the trajectory entry must degrade
-        # to git_rev: null instead of failing the bench run.
+        # Run from a non-git directory: the revision run_suites records
+        # degrades to git_rev: null instead of failing the bench run, and
+        # the trajectory entry carries it over.
         monkeypatch.chdir(tmp_path)
-        entry = trajectory_entry(synthetic_payload(), "2026-08-08T00:00:00")
+        payload = {**synthetic_payload(), "git_rev": git_revision()}
+        entry = trajectory_entry(payload, "2026-08-08T00:00:00")
         assert entry["git_rev"] is None
         assert entry["regimes"]["screening"] == {"speedup": 3.5}
 
@@ -194,7 +197,8 @@ class TestTrajectory:
         # A git that cannot even spawn (PATH damage, sandboxes) degrades
         # the same way.
         monkeypatch.setenv("PATH", "")
-        entry = trajectory_entry(synthetic_payload(), "2026-08-08T00:00:00")
+        payload = {**synthetic_payload(), "git_rev": git_revision()}
+        entry = trajectory_entry(payload, "2026-08-08T00:00:00")
         assert entry["git_rev"] is None
 
 

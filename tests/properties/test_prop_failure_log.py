@@ -5,8 +5,12 @@ revisited across steps) are scored two ways: by the report's numpy
 operations over :class:`~repro.core.report.FailureLog` columns, and by
 the per-record oracle in ``tests/core/record_oracle.py``.  Logs are built
 both from records (the reference backend's form) and from raw columns
-(the batched engine's form).
+(the batched engine's form); records-backed logs are also scored on the
+path an installation without numpy takes, which walks the records.
 """
+
+from contextlib import nullcontext
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +29,7 @@ from repro.memory.sram import SRAM
 from repro.util.bitops import mask
 from repro.util.rng import np
 from tests.core import record_oracle
+from tests.core.test_repair_bisr import TwinStuckFault
 
 MEMORIES = ("m0", "m1")
 LABELS = {0: "up(w0)", 1: "up(r0,w1)", 2: "down(r1,w0)", 3: "up(r0)"}
@@ -69,18 +74,22 @@ def injected(draw):
     injector = FaultInjector()
     for name in MEMORIES:
         memory = SRAM(MemoryGeometry(words, bits, name))
-        cells = draw(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=0, max_value=words - 1),
-                    st.integers(min_value=0, max_value=bits - 1),
-                ),
-                max_size=6,
-                unique=True,
-            )
+        cell = st.builds(
+            CellRef,
+            st.integers(min_value=0, max_value=words - 1),
+            st.integers(min_value=0, max_value=bits - 1),
         )
+        # One or two victims per fault: a fault counts as hit when any
+        # of its victims was implicated.
+        victims = draw(st.lists(st.lists(cell, min_size=1, max_size=2), max_size=6))
         injector.inject(
-            memory, [StuckAtFault(CellRef(w, b), value=1) for w, b in cells]
+            memory,
+            [
+                StuckAtFault(group[0], value=1)
+                if len(group) == 1
+                else TwinStuckFault(*group)
+                for group in victims
+            ],
         )
     return bits, logs, injector
 
@@ -117,37 +126,56 @@ def report_of(logs: dict[str, FailureLog]) -> ProposedReport:
     return ProposedReport("prop", 8, 8, 10.0, failures=logs)
 
 
+def without_numpy():
+    """Score on the numpy-less path of :mod:`repro.core.report`."""
+    return mock.patch("repro.core.report.HAVE_NUMPY", False)
+
+
+def record_log(name: str, bits: int, records: list[FailureRecord]) -> FailureLog:
+    """The reference backend's form."""
+    return FailureLog.from_records(name, bits, records)
+
+
+#: (log builder, scoring context) pairs.
 BUILDERS = (
-    lambda name, bits, records: FailureLog.from_records(name, bits, records),
-    column_log,
+    (record_log, nullcontext),
+    (column_log, nullcontext),
+    (record_log, without_numpy),
 )
 
 
 class TestColumnScoringMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(memory_logs(), st.sampled_from(BUILDERS))
-    def test_detected_and_localized_cells(self, case, build):
+    def test_detected_and_localized_cells(self, case, builder):
         bits, _, logs = case
+        build, scoring = builder
         report = report_of({n: build(n, bits, r) for n, r in logs.items()})
-        for name, records in logs.items():
-            assert list(report.failures[name]) == records
-            assert report.detected_cells(name) == record_oracle.detected_cells(
-                records
-            )
-            assert report.localized_cells(name) == record_oracle.localized_cells(
-                name, records
-            )
+        with scoring():
+            for name, records in logs.items():
+                assert list(report.failures[name]) == records
+                assert report.detected_cells(name) == record_oracle.detected_cells(
+                    records
+                )
+                assert report.localized_cells(name) == record_oracle.localized_cells(
+                    name, records
+                )
+                assert report.failures[name].addresses() == sorted(
+                    {record.address for record in records}
+                )
 
     @settings(max_examples=60, deadline=None)
     @given(injected(), st.sampled_from(BUILDERS))
-    def test_score_against_and_localization_rate(self, case, build):
+    def test_score_against_and_localization_rate(self, case, builder):
         bits, logs, injector = case
+        build, scoring = builder
         report = report_of({n: build(n, bits, r) for n, r in logs.items()})
         expected = record_oracle.score_against(logs, injector)
-        assert report.score_against(injector) == expected
         rate = (
             sum(1 for s in expected if s.localized) / len(expected)
             if expected
             else 1.0
         )
-        assert report.localization_rate(injector) == rate
+        with scoring():
+            assert report.score_against(injector) == expected
+            assert report.localization_rate(injector) == rate

@@ -6,6 +6,7 @@ installed in the test environment itself).
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 
@@ -97,24 +98,62 @@ def test_sampling_raises_helpful_error_without_numpy():
     assert result.stdout.strip() == "True"
 
 
-def test_failure_log_records_work_and_scoring_explains_without_numpy():
-    # Reference failure logs keep their records without numpy; only the
-    # column-based scoring needs the [fast] extra, and says so.
-    result = run_without_numpy(
-        "from repro import FastDiagnosisScheme, MemoryBank, MemoryGeometry, SRAM\n"
-        "from repro.faults.injector import FaultInjector\n"
-        "from repro.faults.stuck_at import StuckAtFault\n"
-        "from repro.memory.geometry import CellRef\n"
-        "memory = SRAM(MemoryGeometry(16, 4, 'm0'))\n"
-        "injector = FaultInjector()\n"
-        "injector.inject(memory, StuckAtFault(CellRef(3, 1), value=1))\n"
-        "report = FastDiagnosisScheme(MemoryBank([memory])).diagnose()\n"
-        "log = report.failures['m0']\n"
-        "assert len(log) == len(list(log)) > 0 and log[0].address == 3\n"
-        "try:\n"
-        "    report.localization_rate(injector)\n"
-        "except RuntimeError as error:\n"
-        "    print('[fast]' in str(error))\n"
+#: Diagnoses a bank of a 4-bit, a 100-bit (two uint64 lanes) and a
+#: fault-free memory with the reference scheme and prints every scoring,
+#: localization and repair result as one JSON line.
+SCORING_SCRIPT = """
+import json
+from repro import FastDiagnosisScheme, MemoryBank, MemoryGeometry, SRAM
+from repro.core.redundancy import RedundancyBudget
+from repro.core.repair import BisrController, RepairController
+from repro.faults.coupling import InversionCouplingFault
+from repro.faults.injector import FaultInjector
+from repro.faults.stuck_at import StuckAtFault
+from repro.memory.geometry import CellRef
+
+def bank():
+    small = SRAM(MemoryGeometry(16, 4, 'm0'))
+    wide = SRAM(MemoryGeometry(8, 100, 'm1'))
+    injector = FaultInjector()
+    injector.inject(small, StuckAtFault(CellRef(3, 1), value=1))
+    injector.inject(small, InversionCouplingFault(CellRef(5, 0), CellRef(6, 2)))
+    injector.inject(wide, StuckAtFault(CellRef(2, 70), value=0))
+    injector.inject(wide, StuckAtFault(CellRef(2, 3), value=1))
+    injector.inject(wide, StuckAtFault(CellRef(7, 99), value=1))
+    clean = SRAM(MemoryGeometry(8, 8, 'm2'))
+    return MemoryBank([small, wide, clean]), injector
+
+memories, injector = bank()
+report = FastDiagnosisScheme(memories).diagnose()
+repair = RepairController(memories, spares_per_memory=1).apply(report)
+memories, _ = bank()
+bisr = BisrController(memories, RedundancyBudget(1, 1)).apply(report)
+names = sorted(report.failures)
+print(json.dumps({
+    'summary': report.summary_lines(),
+    'detected': [sorted(map(str, report.detected_cells(n))) for n in names],
+    'localized': [list(map(repr, report.localized_cells(n))) for n in names],
+    'rate': report.localization_rate(injector),
+    'scores': [repr(s) for s in report.score_against(injector)],
+    'repair': [sorted(repair.repaired[n]) for n in names],
+    'bisr': [sorted(bisr.new_rows[n]) + sorted(bisr.new_cols[n]) for n in names],
+}))
+"""
+
+
+def test_reference_scoring_matches_numpy_without_numpy():
+    # Scoring, localization and repair input walk the records when numpy
+    # is missing, and must give exactly what the column path gives.
+    without = run_without_numpy(SCORING_SCRIPT)
+    assert without.returncode == 0, without.stderr
+    with_numpy = subprocess.run(
+        [sys.executable, "-c", SCORING_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "True"
+    assert with_numpy.returncode == 0, with_numpy.stderr
+    assert without.stdout == with_numpy.stdout
+    result = json.loads(without.stdout)
+    assert 0.0 < result["rate"] <= 1.0
+    assert result["detected"][1] and result["localized"][1]
